@@ -1442,22 +1442,13 @@ impl SchedulabilityTest for AmcRtb {
     }
 
     // mclint: cold — one boxed state per session, reused across every probe
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per session, reused across every probe
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        Box::new(AmcState::with_workspace(self.variant(), ws.clone()))
+        Box::new(self.new_state_in(ws))
     }
 }
 
 impl IncrementalTest for AmcRtb {
     type State = AmcState;
-
-    fn new_state(&self) -> AmcState {
-        AmcState::with_workspace(self.variant(), WorkspaceRef::new())
-    }
 
     // mclint: cold — session construction; the Rc bump happens once per processor
     fn new_state_in(&self, ws: &WorkspaceRef) -> AmcState {
@@ -1512,22 +1503,13 @@ impl SchedulabilityTest for AmcMax {
     }
 
     // mclint: cold — one boxed state per session, reused across every probe
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per session, reused across every probe
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        Box::new(AmcState::with_workspace(AmcVariant::Max, ws.clone()))
+        Box::new(self.new_state_in(ws))
     }
 }
 
 impl IncrementalTest for AmcMax {
     type State = AmcState;
-
-    fn new_state(&self) -> AmcState {
-        AmcState::with_workspace(AmcVariant::Max, WorkspaceRef::new())
-    }
 
     // mclint: cold — session construction; the Rc bump happens once per processor
     fn new_state_in(&self, ws: &WorkspaceRef) -> AmcState {
@@ -2005,7 +1987,7 @@ pub fn amc_rtb_bounds_batched(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)>
 /// equivalence reference for the streaming, workspace-backed hot path.
 ///
 /// The property tests (`tests/analysis_workspace.rs`) and the
-/// `BENCH_analysis.json` throughput artifact (`mcexp --analysis-json`)
+/// `BENCH_analysis.json` throughput artifact (`mcexp analysis --json`)
 /// compare the hot path against these; nothing on the hot path calls
 /// them.
 #[doc(hidden)]
@@ -2396,7 +2378,7 @@ mod tests {
             Box::new(AmcMax::new()),
         ];
         for test in &tests {
-            let mut state = test.admission_state();
+            let mut state = test.admission_state_in(&WorkspaceRef::new());
             for t in &sequence {
                 let expected = clone_and_retest(test, state.tasks(), t);
                 assert_eq!(state.try_admit(t), expected, "{} on {t}", test.name());

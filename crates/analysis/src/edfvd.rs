@@ -34,7 +34,7 @@
 //! implicit-deadline systems, matching the paper.
 
 use crate::incremental::{AdmissionState, AdmissionStats, Committed, IncrementalTest};
-use crate::SchedulabilityTest;
+use crate::{SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet, Time};
 use serde::{Deserialize, Serialize};
 
@@ -191,15 +191,15 @@ impl SchedulabilityTest for EdfVd {
         self.scaling_factor(ts).is_some()
     }
 
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
+    fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
+        Box::new(self.new_state_in(ws))
     }
 }
 
 impl IncrementalTest for EdfVd {
     type State = EdfVdState;
 
-    fn new_state(&self) -> EdfVdState {
+    fn new_state_in(&self, _ws: &WorkspaceRef) -> EdfVdState {
         EdfVdState {
             committed: Committed::default(),
             sums: Sums::default(),

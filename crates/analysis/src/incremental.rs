@@ -63,14 +63,14 @@
 //! # }
 //! ```
 
-use crate::SchedulabilityTest;
+use crate::{SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Counters describing how a partitioning run exercised the admission
 /// layer. Aggregated per build by `mcsched-core` and surfaced by
-/// `mcsched-exp --ablation`.
+/// `mcexp ablation`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdmissionStats {
     /// Admission queries ([`AdmissionState::try_admit`] calls).
@@ -151,9 +151,9 @@ impl fmt::Display for AdmissionStats {
 /// 3. [`remove`](AdmissionState::remove) takes a task back out,
 ///    invalidating whatever cached state depended on it.
 ///
-/// States are created by [`IncrementalTest::new_state`] (typed) or
-/// [`SchedulabilityTest::admission_state`] (object-safe; defaults to the
-/// clone-and-retest bridge).
+/// States are created by [`IncrementalTest::new_state_in`] (typed) or
+/// [`SchedulabilityTest::admission_state_in`] (object-safe; defaults to
+/// the clone-and-retest bridge).
 pub trait AdmissionState {
     /// Would the committed tasks plus `task` pass the test?
     ///
@@ -188,12 +188,16 @@ pub trait AdmissionState {
 /// A [`SchedulabilityTest`] with a native incremental admission state.
 ///
 /// The one-shot [`is_schedulable`](SchedulabilityTest::is_schedulable)
-/// remains the semantic ground truth; `new_state` produces a state whose
+/// remains the semantic ground truth; `new_state_in` produces a state whose
 /// admissions are exactly equivalent but reuse cached per-processor work.
 /// The [`OneShot`] wrapper provides the blanket bridge in the other
 /// direction: it equips *any* one-shot test with a (clone-and-retest)
-/// admission state, so generic partitioning code can require
-/// `IncrementalTest` without excluding foreign tests.
+/// admission state, so generic code can require `IncrementalTest`
+/// without excluding foreign tests.
+///
+/// A typed state whose type is `'static` (all five native tests, plus any
+/// [`OneShot`]-bridged test) owns no borrow of the test, so a long-lived
+/// session can box and keep it across requests.
 ///
 /// # Example
 ///
@@ -216,70 +220,17 @@ pub trait IncrementalTest: SchedulabilityTest {
     /// The per-processor admission state this test maintains.
     type State: AdmissionState;
 
-    /// Creates an empty per-processor state.
-    fn new_state(&self) -> Self::State;
-
-    /// As [`new_state`](IncrementalTest::new_state), sharing the caller's
-    /// analysis workspace for scratch buffers — a *cluster* of states (one
+    /// Creates an empty per-processor state whose scratch buffers come
+    /// from the caller's analysis workspace — a *cluster* of states (one
     /// per processor, queried one at a time) reuses the same buffers
-    /// instead of allocating per state. Verdicts are identical; the
-    /// default ignores `ws` for tests whose state needs no scratch.
-    fn new_state_in(&self, ws: &crate::WorkspaceRef) -> Self::State {
-        let _ = ws;
-        self.new_state()
-    }
-}
+    /// instead of allocating per state. Verdicts never depend on `ws`;
+    /// tests whose state needs no scratch ignore it.
+    fn new_state_in(&self, ws: &WorkspaceRef) -> Self::State;
 
-/// The **session-facing** admission surface: owning (`'static`) admission
-/// states for long-lived clusters.
-///
-/// [`SchedulabilityTest::admission_state`] returns a state that *borrows*
-/// the test — perfect for the partitioning inner loop, useless for a
-/// service session that must own its per-processor states across
-/// requests. `SessionTest` closes that gap: every [`IncrementalTest`]
-/// whose typed state is owning (all five native tests, plus any
-/// [`OneShot`]-bridged test) can mint boxed states with no borrowed
-/// lifetime, so a session struct can hold the states directly.
-///
-/// # Example
-///
-/// ```
-/// use mcsched_model::Task;
-/// use mcsched_analysis::{AdmissionState, Ecdf, SessionTest};
-///
-/// # fn main() -> Result<(), mcsched_model::ModelError> {
-/// // An owning state: no borrow of the test survives this call.
-/// let mut state: Box<dyn AdmissionState> = Ecdf::new().owned_admission_state();
-/// let t = Task::hi(0, 10, 2, 4)?;
-/// assert!(state.try_admit(&t));
-/// state.commit(t);
-/// assert_eq!(state.tasks().len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-pub trait SessionTest: SchedulabilityTest {
-    /// Creates an owning per-processor admission state.
-    fn owned_admission_state(&self) -> Box<dyn AdmissionState>;
-
-    /// As [`owned_admission_state`](SessionTest::owned_admission_state),
-    /// with all states minted from one call site sharing the given
-    /// workspace's scratch buffers (see [`IncrementalTest::new_state_in`]).
-    fn owned_admission_state_in(&self, ws: &crate::WorkspaceRef) -> Box<dyn AdmissionState>;
-}
-
-impl<T> SessionTest for T
-where
-    T: IncrementalTest,
-    T::State: 'static,
-{
-    // mclint: cold — one boxed state per server session, reused across probes
-    fn owned_admission_state(&self) -> Box<dyn AdmissionState> {
-        Box::new(self.new_state())
-    }
-
-    // mclint: cold — one boxed state per server session, reused across probes
-    fn owned_admission_state_in(&self, ws: &crate::WorkspaceRef) -> Box<dyn AdmissionState> {
-        Box::new(self.new_state_in(ws))
+    /// As [`new_state_in`](IncrementalTest::new_state_in), over a private
+    /// fresh workspace.
+    fn new_state(&self) -> Self::State {
+        self.new_state_in(&WorkspaceRef::new())
     }
 }
 
@@ -345,14 +296,19 @@ pub(crate) fn clone_and_retest<T: SchedulabilityTest + ?Sized>(
 /// candidate, re-run the one-shot test. This is exactly the seed path of
 /// the paper's Algorithm 1 and the reference the native states are
 /// validated against.
-pub struct CloneRetestState<'a, T: SchedulabilityTest + ?Sized> {
-    test: &'a T,
+///
+/// The state owns its test `T`. The object-safe default
+/// [`SchedulabilityTest::admission_state_in`] builds a
+/// `CloneRetestState<&Self>` that borrows the test; the [`OneShot`]
+/// bridge builds an owning `CloneRetestState<T>` from a clone.
+pub struct CloneRetestState<T> {
+    test: T,
     committed: Committed,
 }
 
-impl<'a, T: SchedulabilityTest + ?Sized> CloneRetestState<'a, T> {
+impl<T: SchedulabilityTest> CloneRetestState<T> {
     /// Creates an empty state that re-tests through `test`.
-    pub fn new(test: &'a T) -> Self {
+    pub fn new(test: T) -> Self {
         CloneRetestState {
             test,
             committed: Committed::default(),
@@ -360,9 +316,9 @@ impl<'a, T: SchedulabilityTest + ?Sized> CloneRetestState<'a, T> {
     }
 }
 
-impl<T: SchedulabilityTest + ?Sized> AdmissionState for CloneRetestState<'_, T> {
+impl<T: SchedulabilityTest> AdmissionState for CloneRetestState<T> {
     fn try_admit(&mut self, task: &Task) -> bool {
-        let ok = clone_and_retest(self.test, &self.committed.tasks, task);
+        let ok = clone_and_retest(&self.test, &self.committed.tasks, task);
         self.committed.record(false, ok);
         ok
     }
@@ -433,59 +389,16 @@ impl<T: SchedulabilityTest> SchedulabilityTest for OneShot<T> {
         self.0.is_schedulable(ts)
     }
 
-    // Note: `admission_state` is deliberately *not* overridden — the whole
-    // point of the wrapper is to keep the clone-and-retest default.
+    // Note: `admission_state_in` is deliberately *not* overridden — the
+    // whole point of the wrapper is to keep the clone-and-retest default.
 }
 
 impl<T: SchedulabilityTest + Clone> IncrementalTest for OneShot<T> {
-    type State = OneShotState<T>;
+    type State = CloneRetestState<T>;
 
     // mclint: cold — session construction, once per processor
-    fn new_state(&self) -> OneShotState<T> {
-        OneShotState {
-            test: self.0.clone(),
-            committed: Committed::default(),
-        }
-    }
-}
-
-/// The owning variant of [`CloneRetestState`] used by the
-/// [`OneShot`] bridge (the typed [`IncrementalTest`] interface cannot
-/// borrow the test).
-pub struct OneShotState<T> {
-    test: T,
-    committed: Committed,
-}
-
-impl<T: SchedulabilityTest> AdmissionState for OneShotState<T> {
-    fn try_admit(&mut self, task: &Task) -> bool {
-        let ok = clone_and_retest(&self.test, &self.committed.tasks, task);
-        self.committed.record(false, ok);
-        ok
-    }
-
-    fn commit(&mut self, task: Task) {
-        self.committed.push(task);
-    }
-
-    fn remove(&mut self, id: TaskId) -> bool {
-        self.committed.remove(id).is_some()
-    }
-
-    fn summary(&self) -> SystemUtilization {
-        self.committed.summary
-    }
-
-    fn tasks(&self) -> &TaskSet {
-        &self.committed.tasks
-    }
-
-    fn take_tasks(&mut self) -> TaskSet {
-        self.committed.take()
-    }
-
-    fn stats(&self) -> AdmissionStats {
-        self.committed.stats
+    fn new_state_in(&self, _ws: &WorkspaceRef) -> CloneRetestState<T> {
+        CloneRetestState::new(self.0.clone())
     }
 }
 
@@ -504,7 +417,7 @@ mod tests {
     /// Drives a state through admit/commit/reject/remove and checks it
     /// agrees with the one-shot test at every step.
     fn exercise_state(test: &dyn SchedulabilityTest) {
-        let mut state = test.admission_state();
+        let mut state = test.admission_state_in(&WorkspaceRef::new());
         let tasks = vec![hi(0, 10, 2, 4), lo(1, 20, 6), hi(2, 25, 3, 8), lo(3, 10, 3)];
         for t in &tasks {
             let expected = clone_and_retest(&test, state.tasks(), t);
@@ -618,7 +531,7 @@ mod tests {
             }
         }
         let t = AlwaysYes;
-        let mut state = t.admission_state();
+        let mut state = t.admission_state_in(&WorkspaceRef::new());
         assert!(state.try_admit(&lo(0, 10, 9)));
         state.commit(lo(0, 10, 9));
         assert_eq!(state.stats().full, 1);

@@ -16,11 +16,11 @@
 //!   its name), and a final fallback to [`Ey`]'s exact procedure, which
 //!   makes dominance (`Ey` accepts ⇒ `Ecdf` accepts) structural.
 //!
-//! **Reconstruction note** (also recorded in `DESIGN.md`): the original
-//! ECDF paper derives a tighter carry-over demand bound; its exact form is
-//! not reproducible from the DATE 2017 text alone, and a plausible
-//! window-capped variant turns out to be unsound (it can hide a violation
-//! when `di < C^H_i − C^L_i`). We therefore keep the sound Ekberg–Yi bound
+//! **Reconstruction note**: the original ECDF paper derives a tighter
+//! carry-over demand bound; its exact form is not reproducible from the
+//! DATE 2017 text alone, and a plausible window-capped variant turns out
+//! to be unsound (it can hide a violation when `di < C^H_i − C^L_i`). We
+//! therefore keep the sound Ekberg–Yi bound
 //! for both tests and realise ECDF's documented schedulability advantage
 //! through assignment search, which preserves the orderings the DATE 2017
 //! evaluation relies on (`ECDF ⊇ EY`, with a visible gap).
@@ -391,20 +391,13 @@ impl SchedulabilityTest for Ey {
     fn is_schedulable_in(&self, ts: &TaskSet, ws: &mut AnalysisWorkspace) -> bool {
         tune_in(ts, EY_EFFORT, ws)
     }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        Box::new(VdTuneState::with_workspace(false, ws.clone()))
+        Box::new(self.new_state_in(ws))
     }
 }
 
 impl IncrementalTest for Ey {
     type State = VdTuneState;
-
-    fn new_state(&self) -> VdTuneState {
-        VdTuneState::with_workspace(false, WorkspaceRef::new())
-    }
 
     fn new_state_in(&self, ws: &WorkspaceRef) -> VdTuneState {
         VdTuneState::with_workspace(false, ws.clone())
@@ -473,20 +466,13 @@ impl SchedulabilityTest for Ecdf {
         demand.reseed(|t| t.deadline());
         greedy_kernel(demand, EY_EFFORT, moves)
     }
-    fn admission_state(&self) -> Box<dyn AdmissionState + '_> {
-        Box::new(self.new_state())
-    }
     fn admission_state_in(&self, ws: &WorkspaceRef) -> Box<dyn AdmissionState + '_> {
-        Box::new(VdTuneState::with_workspace(true, ws.clone()))
+        Box::new(self.new_state_in(ws))
     }
 }
 
 impl IncrementalTest for Ecdf {
     type State = VdTuneState;
-
-    fn new_state(&self) -> VdTuneState {
-        VdTuneState::with_workspace(true, WorkspaceRef::new())
-    }
 
     fn new_state_in(&self, ws: &WorkspaceRef) -> VdTuneState {
         VdTuneState::with_workspace(true, ws.clone())
@@ -631,7 +617,7 @@ impl AdmissionState for VdTuneState {
 
     fn stats(&self) -> AdmissionStats {
         // Surface the kernel's fixpoint-reuse counters alongside the
-        // admission counters (the `mcexp --ablation` table reads these).
+        // admission counters (the `mcexp ablation` table reads these).
         let mut stats = self.committed.stats;
         let qpa = self.kernel.counters();
         stats.qpa_cold = qpa.cold;
@@ -645,7 +631,7 @@ impl AdmissionState for VdTuneState {
 /// equivalence reference for the workspace-backed hot path — the
 /// counterpart of [`crate::amc::reference`].
 ///
-/// The `BENCH_analysis.json` artifact (`mcexp --analysis-json`) and the
+/// The `BENCH_analysis.json` artifact (`mcexp analysis --json`) and the
 /// equivalence suites compare against these; nothing on the hot path
 /// calls them.
 #[doc(hidden)]

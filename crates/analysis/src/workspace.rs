@@ -17,11 +17,13 @@
 //!   native tests' [`SchedulabilityTest::is_schedulable`] wrappers use, so
 //!   repeated one-shot calls on the same thread reuse the same buffers.
 //! * [`WorkspaceRef`] — a cheaply cloneable shared handle
-//!   (`Rc<RefCell<…>>`). `Partition::build_reporting` passes one handle to
-//!   all `m` per-processor admission states
-//!   ([`SchedulabilityTest::admission_state_in`]), so a whole partitioning
-//!   run shares a single set of scratch buffers. The experiment engine
-//!   creates one handle per worker thread.
+//!   (`Rc<RefCell<…>>`). The partitioning loop (a batch
+//!   `Partition::build_reporting_in` or a live `ClusterSession`) passes
+//!   one handle to all `m` per-processor admission states
+//!   ([`SchedulabilityTest::admission_state_in`] /
+//!   [`IncrementalTest::new_state_in`]), so a whole cluster shares a
+//!   single set of scratch buffers. The experiment engine creates one
+//!   handle per worker thread.
 //!
 //! No *verdict* ever depends on a workspace buffer's previous contents,
 //! so sharing or pooling workspaces cannot change an analysis outcome
@@ -37,8 +39,8 @@
 //!
 //! ## The demand fast-kernel certificate
 //!
-//! [`DemandSoa`] carries the demand stack's analogue of the response
-//! -time certificate on [`SoaTasks::fast`]. Its argument (the QPA
+//! `DemandSoa` carries the demand stack's analogue of the response
+//! -time certificate on `SoaTasks::fast`. Its argument (the QPA
 //! counterpart of the Kleene note in `amc.rs`): when every `C^L`, `C^H`
 //! is in `[1, 2^32)`, every `T` in `[2, 2^32)`, every `D = V + d` below
 //! `2^32`, and the worst-case demand budget
@@ -59,6 +61,7 @@
 //!
 //! [`SchedulabilityTest::is_schedulable`]: crate::SchedulabilityTest::is_schedulable
 //! [`SchedulabilityTest::admission_state_in`]: crate::SchedulabilityTest::admission_state_in
+//! [`IncrementalTest::new_state_in`]: crate::IncrementalTest::new_state_in
 
 use crate::amc::{AmcScratch, CandStream, HcSlot};
 use crate::demand::DemandKernel;

@@ -19,36 +19,27 @@ pub trait MultiprocessorTest {
     /// Display name, e.g. `"CU-UDP-EDF-VD"`.
     fn name(&self) -> &str;
 
-    /// Attempts to partition; `Ok` is the schedulability witness.
-    fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError>;
-
-    /// As [`try_partition`](MultiprocessorTest::try_partition), also
-    /// reporting the admission-layer statistics of the run. The default
-    /// reports empty stats; [`PartitionedAlgorithm`] overrides it with the
-    /// real counters.
-    fn try_partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        (self.try_partition(ts, m), AdmissionStats::default())
-    }
-
-    /// As
-    /// [`try_partition_reporting`](MultiprocessorTest::try_partition_reporting),
-    /// running the build's analysis in the caller's workspace — the
-    /// experiment engine hands every worker thread one [`WorkspaceRef`] so
-    /// batch evaluation reuses scratch buffers across items. Results are
-    /// identical (the workspace is scratch only); the default ignores
-    /// `ws`, so foreign implementations are unaffected.
+    /// Attempts to partition `ts` onto `m` processors, running the
+    /// build's analysis in the caller's workspace, and reports the
+    /// admission-layer statistics of the run. `Ok` is the schedulability
+    /// witness.
+    ///
+    /// The experiment engine hands every worker thread one
+    /// [`WorkspaceRef`] so batch evaluation reuses scratch buffers across
+    /// items. Results never depend on the workspace (it is scratch only).
     fn try_partition_reporting_in(
         &self,
         ts: &TaskSet,
         m: usize,
         ws: &WorkspaceRef,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        let _ = ws;
-        self.try_partition_reporting(ts, m)
+    ) -> (Result<Partition, PartitionError>, AdmissionStats);
+
+    /// As
+    /// [`try_partition_reporting_in`](MultiprocessorTest::try_partition_reporting_in),
+    /// over the thread-local workspace pool and without the statistics.
+    fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError> {
+        let ws = WorkspaceRef::pooled();
+        self.try_partition_reporting_in(ts, m, &ws).0
     }
 
     /// `true` if the algorithm schedules the set on `m` processors.
@@ -129,45 +120,11 @@ impl<T: SchedulabilityTest> PartitionedAlgorithm<T> {
     pub fn partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError> {
         Partition::build(&self.strategy, &self.test, ts, m)
     }
-
-    /// As [`partition`](PartitionedAlgorithm::partition), also returning
-    /// the aggregated admission statistics of the build.
-    pub fn partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        Partition::build_reporting(&self.strategy, &self.test, ts, m)
-    }
-
-    /// As [`partition_reporting`](PartitionedAlgorithm::partition_reporting),
-    /// sharing the caller's analysis workspace across the build's
-    /// admission states (see [`Partition::build_reporting_in`]).
-    pub fn partition_reporting_in(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-        ws: &WorkspaceRef,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        Partition::build_reporting_in(&self.strategy, &self.test, ts, m, ws)
-    }
 }
 
 impl<T: SchedulabilityTest> MultiprocessorTest for PartitionedAlgorithm<T> {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn try_partition(&self, ts: &TaskSet, m: usize) -> Result<Partition, PartitionError> {
-        self.partition(ts, m)
-    }
-
-    fn try_partition_reporting(
-        &self,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        self.partition_reporting(ts, m)
     }
 
     fn try_partition_reporting_in(
@@ -176,7 +133,7 @@ impl<T: SchedulabilityTest> MultiprocessorTest for PartitionedAlgorithm<T> {
         m: usize,
         ws: &WorkspaceRef,
     ) -> (Result<Partition, PartitionError>, AdmissionStats) {
-        self.partition_reporting_in(ts, m, ws)
+        Partition::build_reporting_in(&self.strategy, &self.test, ts, m, ws)
     }
 }
 

@@ -9,9 +9,12 @@
 //! warm QPA resumes and cached response-time fixpoints instead of a cold
 //! re-analysis per request.
 //!
-//! Placement is *exactly* the build loop's: the task's fit rule orders
-//! processors by their cached utilization summaries, and the first
-//! processor whose admission state accepts the union receives the task.
+//! Placement *is* the build loop: [`Partition::build`](crate::Partition::build)
+//! and the session both place through this module's private
+//! per-processor core, which orders processors by the task's fit rule
+//! over their cached utilization summaries and hands the task to the
+//! first processor whose admission state accepts the union. The session
+//! adds only its duplicate-id check and its placement table on top.
 //! Every verdict is therefore bit-identical to what the one-shot test
 //! would say on that processor's committed set plus the candidate (the
 //! admission layer's equivalence guarantee), which the session-lifecycle
@@ -43,8 +46,8 @@
 //! # }
 //! ```
 
-use crate::strategy::PartitionStrategy;
-use mcsched_analysis::{AdmissionState, AdmissionStats, SessionTest, WorkspaceRef};
+use crate::strategy::{FitRule, PartitionStrategy};
+use mcsched_analysis::{AdmissionState, AdmissionStats, IncrementalTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, Task, TaskId, TaskSet};
 use std::error::Error;
 use std::fmt;
@@ -95,6 +98,83 @@ impl fmt::Display for AdmitError {
 
 impl Error for AdmitError {}
 
+/// The per-processor core of the partitioning loop, shared by
+/// [`Partition::build_reporting_in`](crate::Partition::build_reporting_in)
+/// and [`ClusterSession`]: one admission state per processor, their cached
+/// utilization summaries and the fit-order scratch.
+///
+/// [`first_fit`](Processors::first_fit) asks the states in the fit rule's
+/// order; a caller that places the task calls
+/// [`commit`](Processors::commit) on the accepting processor right away,
+/// with no other state's `try_admit` in between, so the state reuses the
+/// analysis of its accepting query. All `m` states share one workspace.
+pub(crate) struct Processors<'a> {
+    states: Vec<Box<dyn AdmissionState + 'a>>,
+    summaries: Vec<SystemUtilization>,
+    /// Scratch for fit-rule processor ordering (reused across tasks).
+    order: Vec<usize>,
+}
+
+impl<'a> Processors<'a> {
+    /// Wraps one fresh admission state per processor.
+    pub(crate) fn new(states: Vec<Box<dyn AdmissionState + 'a>>) -> Self {
+        let m = states.len();
+        Processors {
+            states,
+            summaries: vec![SystemUtilization::default(); m],
+            order: Vec::with_capacity(m),
+        }
+    }
+
+    /// The first processor, in `fit`'s order over the cached summaries,
+    /// whose state accepts `task`; nothing is committed.
+    pub(crate) fn first_fit(&mut self, fit: FitRule, task: &Task) -> Option<usize> {
+        fit.processor_order_by_summary_into(&self.summaries, &mut self.order);
+        let states = &mut self.states;
+        self.order
+            .iter()
+            .copied()
+            .find(|&k| states[k].try_admit(task))
+    }
+
+    /// Commits `task` to processor `k` and refreshes its summary.
+    pub(crate) fn commit(&mut self, k: usize, task: Task) {
+        self.states[k].commit(task);
+        self.summaries[k] = self.states[k].summary();
+    }
+
+    /// Removes `id` from processor `k`; returns `false` if it was absent.
+    fn remove(&mut self, k: usize, id: TaskId) -> bool {
+        let removed = self.states[k].remove(id);
+        self.summaries[k] = self.states[k].summary();
+        removed
+    }
+
+    /// The processor count `m`.
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Tasks held per processor.
+    pub(crate) fn loads(&self) -> Vec<usize> {
+        self.states.iter().map(|s| s.tasks().len()).collect()
+    }
+
+    /// Aggregated admission counters across all processors.
+    pub(crate) fn stats(&self) -> AdmissionStats {
+        let mut total = AdmissionStats::default();
+        for s in &self.states {
+            total.merge(&s.stats());
+        }
+        total
+    }
+
+    /// Takes every processor's committed tasks out.
+    pub(crate) fn take_tasks(&mut self) -> Vec<TaskSet> {
+        self.states.iter_mut().map(|s| s.take_tasks()).collect()
+    }
+}
+
 /// A persistent `m`-processor cluster with live per-processor admission
 /// states (see the [module docs](self)).
 ///
@@ -107,10 +187,7 @@ impl Error for AdmitError {}
 pub struct ClusterSession {
     name: String,
     strategy: PartitionStrategy,
-    states: Vec<Box<dyn AdmissionState>>,
-    summaries: Vec<SystemUtilization>,
-    /// Scratch for fit-rule processor ordering (reused across requests).
-    order: Vec<usize>,
+    processors: Processors<'static>,
     /// Where each committed task lives: `(id, processor)` in admission
     /// order. Authoritative for `remove` without scanning every state.
     placements: Vec<(TaskId, usize)>,
@@ -126,34 +203,34 @@ impl ClusterSession {
         strategy: PartitionStrategy,
         states: Vec<Box<dyn AdmissionState>>,
     ) -> Self {
-        let m = states.len();
         ClusterSession {
             name,
             strategy,
-            states,
-            summaries: vec![SystemUtilization::default(); m],
-            order: Vec::with_capacity(m),
+            processors: Processors::new(states),
             placements: Vec::new(),
         }
     }
 
     /// Assembles a session whose processors run fresh admission states
-    /// of an arbitrary [`SessionTest`] under `strategy`'s placement
-    /// policy.
+    /// of an arbitrary [`IncrementalTest`] with an owning state type,
+    /// under `strategy`'s placement policy.
     ///
     /// This is the oracle hook: wrapping a reference test in
     /// [`OneShot`](mcsched_analysis::OneShot) builds a clone-and-retest
     /// mirror of a production session
     /// ([`AlgorithmSpec::open_cluster`](crate::AlgorithmSpec::open_cluster))
     /// for bit-identical equivalence checks.
-    pub fn with_test<T: SessionTest>(
+    pub fn with_test<T>(
         name: impl Into<String>,
         strategy: PartitionStrategy,
         test: &T,
         m: usize,
-    ) -> ClusterSession {
-        let states = owned_states(test, m);
-        ClusterSession::from_parts(name.into(), strategy, states)
+    ) -> ClusterSession
+    where
+        T: IncrementalTest,
+        T::State: 'static,
+    {
+        ClusterSession::from_parts(name.into(), strategy, owned_states(test, m))
     }
 
     /// The algorithm display name (e.g. `"CU-UDP-EDF-VD"`).
@@ -163,7 +240,7 @@ impl ClusterSession {
 
     /// The processor count `m`.
     pub fn processor_count(&self) -> usize {
-        self.states.len()
+        self.processors.len()
     }
 
     /// Committed tasks across all processors.
@@ -180,27 +257,24 @@ impl ClusterSession {
 
     /// The committed task set of processor `k`.
     pub fn processor(&self, k: usize) -> Option<&TaskSet> {
-        self.states.get(k).map(|s| s.tasks())
+        self.processors.states.get(k).map(|s| s.tasks())
     }
 
     /// The cached per-processor utilization summaries (bit-identical to
     /// recomputing from the committed sets).
     pub fn summaries(&self) -> &[SystemUtilization] {
-        &self.summaries
+        &self.processors.summaries
     }
 
     /// Aggregated admission counters across all processors.
     pub fn stats(&self) -> AdmissionStats {
-        let mut total = AdmissionStats::default();
-        for s in &self.states {
-            total.merge(&s.stats());
-        }
-        total
+        self.processors.stats()
     }
 
     /// Task ids per processor — the session's partition witness.
     pub fn snapshot(&self) -> Vec<Vec<TaskId>> {
-        self.states
+        self.processors
+            .states
             .iter()
             .map(|s| s.tasks().iter().map(Task::id).collect())
             .collect()
@@ -211,20 +285,12 @@ impl ClusterSession {
     /// the lifecycle oracle replays.
     pub fn committed_tasks(&self) -> TaskSet {
         let mut ts = TaskSet::with_capacity(self.task_count());
-        for s in &self.states {
+        for s in &self.processors.states {
             for t in s.tasks() {
                 ts.push_unchecked(*t);
             }
         }
         ts
-    }
-
-    /// The processor order the task's fit rule would try right now.
-    fn fit_order(&mut self, task: &Task) -> &[usize] {
-        self.strategy
-            .fit_for(task)
-            .processor_order_by_summary_into(&self.summaries, &mut self.order);
-        &self.order
     }
 
     /// Admits `task` onto the first processor (in the task's fit order)
@@ -240,21 +306,16 @@ impl ClusterSession {
         if self.processor_of(task.id()).is_some() {
             return Err(AdmitError::DuplicateId(task.id()));
         }
-        self.fit_order(&task);
-        for idx in 0..self.order.len() {
-            let k = self.order[idx];
-            if self.states[k].try_admit(&task) {
-                let id = task.id();
-                self.states[k].commit(task);
-                self.summaries[k] = self.states[k].summary();
-                self.placements.push((id, k));
-                return Ok(k);
-            }
-        }
-        Err(AdmitError::Unschedulable {
-            task: task.id(),
-            processor_loads: self.states.iter().map(|s| s.tasks().len()).collect(),
-        })
+        let fit = self.strategy.fit_for(&task);
+        let Some(k) = self.processors.first_fit(fit, &task) else {
+            return Err(AdmitError::Unschedulable {
+                task: task.id(),
+                processor_loads: self.processors.loads(),
+            });
+        };
+        self.processors.commit(k, task);
+        self.placements.push((task.id(), k));
+        Ok(k)
     }
 
     /// Force-places `task` on `processor` **without consulting the
@@ -266,19 +327,11 @@ impl ClusterSession {
     /// an out-of-range processor — a corrupt journal row, which the
     /// caller reports rather than replays.
     pub fn restore(&mut self, task: Task, processor: usize) -> bool {
-        if self.processor_of(task.id()).is_some() {
+        if processor >= self.processors.len() || self.processor_of(task.id()).is_some() {
             return false;
         }
-        let Some(state) = self.states.get_mut(processor) else {
-            return false;
-        };
-        let id = task.id();
-        state.commit(task);
-        let summary = state.summary();
-        if let Some(slot) = self.summaries.get_mut(processor) {
-            *slot = summary;
-        }
-        self.placements.push((id, processor));
+        self.processors.commit(processor, task);
+        self.placements.push((task.id(), processor));
         true
     }
 
@@ -289,14 +342,7 @@ impl ClusterSession {
         if self.processor_of(task.id()).is_some() {
             return None;
         }
-        self.fit_order(task);
-        for idx in 0..self.order.len() {
-            let k = self.order[idx];
-            if self.states[k].try_admit(task) {
-                return Some(k);
-            }
-        }
-        None
+        self.processors.first_fit(self.strategy.fit_for(task), task)
     }
 
     /// Removes the committed task `id`, returning the processor it held.
@@ -305,9 +351,8 @@ impl ClusterSession {
     pub fn remove(&mut self, id: TaskId) -> Option<usize> {
         let pos = self.placements.iter().position(|&(tid, _)| tid == id)?;
         let (_, k) = self.placements.swap_remove(pos);
-        let removed = self.states[k].remove(id);
+        let removed = self.processors.remove(k, id);
         debug_assert!(removed, "placement table out of sync with state {k}");
-        self.summaries[k] = self.states[k].summary();
         Some(k)
     }
 }
@@ -316,20 +361,23 @@ impl fmt::Debug for ClusterSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterSession")
             .field("name", &self.name)
-            .field("processors", &self.states.len())
+            .field("processors", &self.processors.len())
             .field("tasks", &self.placements.len())
             .finish()
     }
 }
 
 /// Builds the per-processor owning admission states for a test, all
-/// sharing one workspace (see [`SessionTest`]).
+/// sharing one workspace.
 pub(crate) fn owned_states<T>(test: &T, m: usize) -> Vec<Box<dyn AdmissionState>>
 where
-    T: SessionTest,
+    T: IncrementalTest,
+    T::State: 'static,
 {
     let ws = WorkspaceRef::new();
-    (0..m).map(|_| test.owned_admission_state_in(&ws)).collect()
+    (0..m)
+        .map(|_| Box::new(test.new_state_in(&ws)) as Box<dyn AdmissionState>)
+        .collect()
 }
 
 #[cfg(test)]
@@ -337,7 +385,7 @@ mod tests {
     use super::*;
     use crate::registry::{AlgorithmRegistry, TestName};
     use crate::{presets, AlgorithmSpec};
-    use mcsched_analysis::{IncrementalTest, OneShot, SchedulabilityTest};
+    use mcsched_analysis::{OneShot, SchedulabilityTest};
     use std::rc::Rc;
 
     fn hi(id: u32, t: u64, cl: u64, ch: u64) -> Task {
@@ -488,18 +536,9 @@ mod tests {
         for name in ["CA-UDP-EY", "CU-UDP-AMC-max", "CA-F-F-ECDF"] {
             let spec = registry.spec(name).unwrap();
             let mut fast = spec.open_cluster(2);
-            let mirror = CloneBox(Rc::new(uni_test(spec.test)));
-            let mut slow = ClusterSession::from_parts(
-                spec.name(),
-                spec.strategy.clone(),
-                (0..2)
-                    .map(|_| {
-                        let state: Box<dyn AdmissionState> =
-                            Box::new(OneShot(mirror.clone()).new_state());
-                        state
-                    })
-                    .collect(),
-            );
+            let mirror = OneShot(CloneBox(Rc::new(uni_test(spec.test))));
+            let mut slow =
+                ClusterSession::with_test(spec.name(), spec.strategy.clone(), &mirror, 2);
             let tasks = [
                 hi(0, 10, 2, 4),
                 lo(1, 20, 6),

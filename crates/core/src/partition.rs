@@ -1,8 +1,9 @@
 //! The partitioning engine (the paper's Algorithm 1, generalised) and the
 //! resulting [`Partition`].
 
+use crate::cluster::Processors;
 use crate::strategy::PartitionStrategy;
-use mcsched_analysis::{AdmissionState, AdmissionStats, SchedulabilityTest, WorkspaceRef};
+use mcsched_analysis::{AdmissionStats, SchedulabilityTest, WorkspaceRef};
 use mcsched_model::{SystemUtilization, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -76,17 +77,8 @@ impl Partition {
     /// Runs the partitioning strategy against a schedulability test
     /// (Algorithm 1 of the paper, generalised to arbitrary orders/fits).
     ///
-    /// For each task in the strategy's allocation order, processors are
-    /// tried in the order given by the task's fit rule; the first
-    /// processor where the test accepts `τ(φk) ∪ {τi}` receives the task.
-    ///
-    /// Admission runs through the test's stateful per-processor
-    /// [`AdmissionState`]s (`test.admission_state()`): rejected attempts
-    /// cost no `TaskSet` clone, fit rules read the cached utilization
-    /// summaries, and the five native tests reuse incremental analysis
-    /// state. Tests without a native state transparently fall back to the
-    /// clone-and-retest bridge; either way the resulting partition is
-    /// identical to the historical clone-and-retest construction.
+    /// As [`Partition::build_reporting_in`], over the thread-local
+    /// workspace pool and without the admission statistics.
     ///
     /// # Errors
     ///
@@ -98,33 +90,36 @@ impl Partition {
         ts: &TaskSet,
         m: usize,
     ) -> Result<Self, PartitionError> {
-        Self::build_reporting(strategy, test, ts, m).0
-    }
-
-    /// As [`Partition::build`], also returning the aggregated
-    /// [`AdmissionStats`] of the run (attempts, admits, incremental vs
-    /// full re-analyses) — surfaced by `mcsched-exp --ablation`.
-    ///
-    /// Analysis scratch comes from the thread-local workspace pool, so
-    /// repeated builds on one thread reuse the same buffers; callers that
-    /// manage their own workspace (the experiment engine's per-worker
-    /// evaluators) use [`Partition::build_reporting_in`] directly.
-    pub fn build_reporting(
-        strategy: &PartitionStrategy,
-        test: &dyn SchedulabilityTest,
-        ts: &TaskSet,
-        m: usize,
-    ) -> (Result<Self, PartitionError>, AdmissionStats) {
         let ws = WorkspaceRef::pooled();
-        Self::build_reporting_in(strategy, test, ts, m, &ws)
+        Self::build_reporting_in(strategy, test, ts, m, &ws).0
     }
 
-    /// As [`Partition::build_reporting`], with every per-processor
-    /// admission state sharing the caller's analysis workspace: the `m`
-    /// states of the build borrow `ws`'s scratch buffers one admission
-    /// query at a time, so the whole inner loop runs allocation-free once
-    /// the buffers are warm. The resulting partition is identical — the
-    /// workspace holds scratch only.
+    /// Runs the partitioning strategy against a schedulability test and
+    /// returns the partition together with the aggregated
+    /// [`AdmissionStats`] of the run (attempts, admits, incremental vs
+    /// full re-analyses) — surfaced by `mcexp ablation`.
+    ///
+    /// For each task in the strategy's allocation order, processors are
+    /// tried in the order given by the task's fit rule; the first
+    /// processor where the test accepts `τ(φk) ∪ {τi}` receives the task.
+    /// The loop is the one [`ClusterSession`](crate::ClusterSession)
+    /// places through, so a batch build and a replay of the same order
+    /// through a session agree task for task.
+    ///
+    /// Admission runs through the test's stateful per-processor
+    /// [`AdmissionState`](mcsched_analysis::AdmissionState)s
+    /// ([`SchedulabilityTest::admission_state_in`]): rejected attempts
+    /// cost no `TaskSet` clone, fit rules read the cached utilization
+    /// summaries, and the five native tests reuse incremental analysis
+    /// state. Tests without a native state fall back to the
+    /// clone-and-retest bridge; either way the resulting partition is
+    /// identical to the historical clone-and-retest construction.
+    ///
+    /// Every per-processor state shares the caller's analysis workspace:
+    /// the `m` states borrow `ws`'s scratch buffers one admission query at
+    /// a time, so the whole loop runs allocation-free once the buffers
+    /// are warm. The workspace holds scratch only and never changes the
+    /// result.
     pub fn build_reporting_in(
         strategy: &PartitionStrategy,
         test: &dyn SchedulabilityTest,
@@ -132,44 +127,21 @@ impl Partition {
         m: usize,
         ws: &WorkspaceRef,
     ) -> (Result<Self, PartitionError>, AdmissionStats) {
-        let mut states: Vec<Box<dyn AdmissionState + '_>> =
-            (0..m).map(|_| test.admission_state_in(ws)).collect();
-        let total_stats = |states: &[Box<dyn AdmissionState + '_>]| {
-            let mut total = AdmissionStats::default();
-            for s in states {
-                total.merge(&s.stats());
-            }
-            total
-        };
-        let sequence = strategy.order().sequence(ts);
-        let mut summaries: Vec<SystemUtilization> = vec![SystemUtilization::default(); m];
-        let mut order: Vec<usize> = Vec::with_capacity(m);
-        for (placed, task) in sequence.iter().enumerate() {
-            strategy
-                .fit_for(task)
-                .processor_order_by_summary_into(&summaries, &mut order);
-            let mut assigned = false;
-            for &k in &order {
-                if states[k].try_admit(task) {
-                    states[k].commit(*task);
-                    summaries[k] = states[k].summary();
-                    assigned = true;
-                    break;
-                }
-            }
-            if !assigned {
+        let mut procs = Processors::new((0..m).map(|_| test.admission_state_in(ws)).collect());
+        for (placed, task) in strategy.order().sequence(ts).iter().enumerate() {
+            let Some(k) = procs.first_fit(strategy.fit_for(task), task) else {
                 let error = PartitionError {
                     task: task.id(),
                     placed,
                     processors: m,
-                    processor_loads: states.iter().map(|s| s.tasks().len()).collect(),
+                    processor_loads: procs.loads(),
                 };
-                let stats = total_stats(&states);
-                return (Err(error), stats);
-            }
+                return (Err(error), procs.stats());
+            };
+            procs.commit(k, *task);
         }
-        let stats = total_stats(&states);
-        let processors = states.iter_mut().map(|s| s.take_tasks()).collect();
+        let stats = procs.stats();
+        let processors = procs.take_tasks();
         (Ok(Partition { processors }), stats)
     }
 
@@ -336,8 +308,9 @@ mod tests {
 
     #[test]
     fn build_reporting_counts_admissions() {
+        let ws = WorkspaceRef::new();
         let (p, stats) =
-            Partition::build_reporting(&presets::ca_udp(), &EdfVd::new(), &small_set(), 2);
+            Partition::build_reporting_in(&presets::ca_udp(), &EdfVd::new(), &small_set(), 2, &ws);
         let p = p.unwrap();
         assert_eq!(p.task_count(), 4);
         assert_eq!(stats.admits, 4);

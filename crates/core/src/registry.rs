@@ -633,10 +633,12 @@ mod tests {
         let ws = WorkspaceRef::new();
         for name in registry.algorithm_names() {
             let algo = registry.parse(&name).unwrap();
-            let (plain, plain_stats) = algo.try_partition_reporting(&ts, 2);
+            let (fresh, fresh_stats) =
+                algo.try_partition_reporting_in(&ts, 2, &WorkspaceRef::new());
             let (in_ws, ws_stats) = algo.try_partition_reporting_in(&ts, 2, &ws);
-            assert_eq!(plain, in_ws, "{name} diverged under a shared workspace");
-            assert_eq!(plain_stats, ws_stats, "{name} stats diverged");
+            assert_eq!(fresh, in_ws, "{name} diverged under a shared workspace");
+            assert_eq!(fresh_stats, ws_stats, "{name} stats diverged");
+            assert_eq!(algo.try_partition(&ts, 2), in_ws, "{name} pooled");
             assert_eq!(algo.accepts(&ts, 2), algo.accepts_in(&ts, 2, &ws), "{name}");
         }
     }

@@ -92,12 +92,7 @@ pub enum BalanceMetric {
 }
 
 impl BalanceMetric {
-    /// Evaluates the metric on a processor's current contents.
-    pub fn evaluate(&self, proc: &TaskSet) -> f64 {
-        self.evaluate_summary(&proc.system_utilization())
-    }
-
-    /// Evaluates the metric on a precomputed utilization triple — the
+    /// Evaluates the metric on a processor's utilization triple — the
     /// cached `summary()` of an incremental admission state, so fit rules
     /// cost O(1) per processor instead of re-summing its tasks.
     pub fn evaluate_summary(&self, u: &SystemUtilization) -> f64 {
@@ -136,26 +131,13 @@ pub enum FitRule {
 }
 
 impl FitRule {
-    /// Returns processor indices in the order this rule tries them.
-    pub fn processor_order(&self, procs: &[TaskSet]) -> Vec<usize> {
-        let summaries: Vec<SystemUtilization> =
-            procs.iter().map(TaskSet::system_utilization).collect();
-        self.processor_order_by_summary(&summaries)
-    }
-
-    /// As [`FitRule::processor_order`], over precomputed utilization
-    /// triples (the cached summaries of the incremental admission states).
-    pub fn processor_order_by_summary(&self, summaries: &[SystemUtilization]) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.processor_order_by_summary_into(summaries, &mut idx);
-        idx
-    }
-
-    /// As [`FitRule::processor_order_by_summary`], into a caller-supplied
-    /// buffer (cleared first) — the partitioning inner loop reuses one
-    /// across tasks so fit ordering allocates nothing. The metric is a
-    /// pure function of the summary, so evaluating it inside the
-    /// comparator yields exactly the order of the precomputed-keys path.
+    /// Writes the processor indices, in the order this rule tries them,
+    /// into `out` (cleared first), given each processor's utilization
+    /// triple (the cached summaries of the incremental admission states).
+    /// The partitioning loop reuses one buffer across tasks, so fit
+    /// ordering allocates nothing. The metric is a pure function of the
+    /// summary, so evaluating it inside the comparator yields exactly the
+    /// order of sorting by precomputed keys.
     pub fn processor_order_by_summary_into(
         &self,
         summaries: &[SystemUtilization],
@@ -313,7 +295,15 @@ impl StrategyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcsched_model::TaskSet;
+
+    /// The order `fit` tries processors holding `procs`.
+    fn order(fit: FitRule, procs: &[TaskSet]) -> Vec<usize> {
+        let summaries: Vec<SystemUtilization> =
+            procs.iter().map(TaskSet::system_utilization).collect();
+        let mut out = Vec::new();
+        fit.processor_order_by_summary_into(&summaries, &mut out);
+        out
+    }
 
     fn sample() -> TaskSet {
         TaskSet::try_from_tasks(vec![
@@ -362,20 +352,18 @@ mod tests {
 
     #[test]
     fn metric_evaluation() {
-        let ts = sample();
-        let u = ts.system_utilization();
-        assert!(
-            (BalanceMetric::UtilizationDifference.evaluate(&ts) - (u.u_hh - u.u_hl)).abs() < 1e-12
-        );
-        assert!((BalanceMetric::HiUtilization.evaluate(&ts) - u.u_hh).abs() < 1e-12);
-        assert!((BalanceMetric::LoModeLoad.evaluate(&ts) - (u.u_ll + u.u_hl)).abs() < 1e-12);
-        assert!((BalanceMetric::OwnLevelLoad.evaluate(&ts) - (u.u_ll + u.u_hh)).abs() < 1e-12);
+        let u = sample().system_utilization();
+        let eval = |metric: BalanceMetric| metric.evaluate_summary(&u);
+        assert!((eval(BalanceMetric::UtilizationDifference) - (u.u_hh - u.u_hl)).abs() < 1e-12);
+        assert!((eval(BalanceMetric::HiUtilization) - u.u_hh).abs() < 1e-12);
+        assert!((eval(BalanceMetric::LoModeLoad) - (u.u_ll + u.u_hl)).abs() < 1e-12);
+        assert!((eval(BalanceMetric::OwnLevelLoad) - (u.u_ll + u.u_hh)).abs() < 1e-12);
     }
 
     #[test]
     fn first_fit_is_index_order() {
         let procs = vec![sample(), TaskSet::new(), sample()];
-        assert_eq!(FitRule::FirstFit.processor_order(&procs), vec![0, 1, 2]);
+        assert_eq!(order(FitRule::FirstFit, &procs), vec![0, 1, 2]);
     }
 
     #[test]
@@ -385,7 +373,10 @@ mod tests {
         let mut light = TaskSet::new();
         light.push_unchecked(Task::hi(8, 10, 4, 5).unwrap()); // diff 0.1
         let procs = vec![heavy, TaskSet::new(), light];
-        let order = FitRule::WorstFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order, vec![1, 2, 0]);
     }
 
@@ -394,29 +385,39 @@ mod tests {
         let mut heavy = TaskSet::new();
         heavy.push_unchecked(Task::hi(9, 10, 1, 9).unwrap());
         let procs = vec![TaskSet::new(), heavy, TaskSet::new()];
-        let order = FitRule::BestFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::BestFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order[0], 1);
     }
 
     #[test]
     fn summary_order_matches_taskset_order() {
+        // Evaluating the metric inside the comparator orders exactly like
+        // a stable sort by each processor's precomputed key, even when a
+        // dirty buffer is reused.
         let mut heavy = TaskSet::new();
         heavy.push_unchecked(Task::hi(9, 10, 1, 9).unwrap());
         let mut light = TaskSet::new();
         light.push_unchecked(Task::hi(8, 10, 4, 5).unwrap());
-        let procs = vec![heavy, TaskSet::new(), light];
+        let procs = [heavy, TaskSet::new(), light, TaskSet::new()];
         let summaries: Vec<SystemUtilization> =
             procs.iter().map(TaskSet::system_utilization).collect();
-        for fit in [
-            FitRule::FirstFit,
-            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
-            FitRule::BestFit(BalanceMetric::LoModeLoad),
+        let mut out = vec![7, 7, 7, 7, 7, 7];
+        for metric in [
+            BalanceMetric::UtilizationDifference,
+            BalanceMetric::LoModeLoad,
         ] {
-            assert_eq!(
-                fit.processor_order(&procs),
-                fit.processor_order_by_summary(&summaries),
-                "{fit}"
-            );
+            let key = |k: usize| metric.evaluate_summary(&summaries[k]);
+            let mut worst: Vec<usize> = (0..procs.len()).collect();
+            worst.sort_by(|&a, &b| key(a).total_cmp(&key(b)));
+            FitRule::WorstFit(metric).processor_order_by_summary_into(&summaries, &mut out);
+            assert_eq!(out, worst, "WF({metric})");
+            let mut best: Vec<usize> = (0..procs.len()).collect();
+            best.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
+            FitRule::BestFit(metric).processor_order_by_summary_into(&summaries, &mut out);
+            assert_eq!(out, best, "BF({metric})");
         }
     }
 
@@ -431,8 +432,9 @@ mod tests {
             },
             SystemUtilization::default(),
         ];
-        let order =
-            FitRule::WorstFit(BalanceMetric::HiUtilization).processor_order_by_summary(&summaries);
+        let mut order = Vec::new();
+        FitRule::WorstFit(BalanceMetric::HiUtilization)
+            .processor_order_by_summary_into(&summaries, &mut order);
         assert_eq!(order.len(), 2);
         assert_eq!(order[0], 1, "NaN sorts after every finite key");
     }
@@ -440,7 +442,10 @@ mod tests {
     #[test]
     fn ties_break_by_index() {
         let procs = vec![TaskSet::new(), TaskSet::new(), TaskSet::new()];
-        let order = FitRule::WorstFit(BalanceMetric::UtilizationDifference).processor_order(&procs);
+        let order = order(
+            FitRule::WorstFit(BalanceMetric::UtilizationDifference),
+            &procs,
+        );
         assert_eq!(order, vec![0, 1, 2]);
     }
 

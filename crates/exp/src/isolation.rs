@@ -10,7 +10,7 @@
 
 use crate::engine::{run_batch, Accumulator, Batch, Evaluator};
 use mcsched_analysis::EdfVd;
-use mcsched_core::{presets, PartitionedAlgorithm, WorkspaceRef};
+use mcsched_core::{presets, MultiprocessorTest, PartitionedAlgorithm, WorkspaceRef};
 use mcsched_gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched_model::{Criticality, TaskSet};
 use mcsched_sim::{GlobalSimulator, PartitionedSimulator, Policy, Scenario, TraceEvent};
@@ -128,7 +128,11 @@ impl Evaluator for IsolationEvaluator {
         let (ts, partition) = (0..30).find_map(|_| {
             let spec = TaskSetSpec::paper_defaults(self.m, self.point, DeadlineModel::Implicit);
             let ts = spec.generate(rng).ok()?;
-            let partition = self.algo.partition_reporting_in(&ts, self.m, ws).0.ok()?;
+            let partition = self
+                .algo
+                .try_partition_reporting_in(&ts, self.m, ws)
+                .0
+                .ok()?;
             Some((ts, partition))
         })?;
         let scenario =

@@ -20,10 +20,6 @@
 //! mcexp lint [--json | --fixable] [--baseline FILE] [--root DIR]
 //! ```
 //!
-//! The old flag spellings (`--fig`, `--headline`, `--ablation`,
-//! `--isolation`, `--all`, `--perf-json`, `--analysis-json`) still work
-//! as deprecated aliases and print a pointer to the subcommand form.
-//!
 //! Defaults: `--sets 200` (the paper uses 1000; raise it for final runs),
 //! `--seed 42`, `--threads` = available parallelism.
 
@@ -79,8 +75,6 @@ struct Args {
     ablation: bool,
     isolation: bool,
     all: bool,
-    perf_json: Option<PathBuf>,
-    analysis_json: Option<PathBuf>,
     perf: bool,
     analysis: bool,
     json: Option<PathBuf>,
@@ -133,8 +127,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         ablation: false,
         isolation: false,
         all: false,
-        perf_json: None,
-        analysis_json: None,
         perf: false,
         analysis: false,
         json: None,
@@ -164,13 +156,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         lint_baseline: None,
         lint_root: PathBuf::from("."),
     };
-    let mut i = 0;
-
-    // Leading bare word = subcommand. Flags-only invocations fall
-    // through to the deprecated spellings below.
-    let mut subcommand = false;
+    // The leading word is the subcommand; flags-only invocations other
+    // than `--help` are usage errors.
     if let Some(first) = argv.first() {
-        subcommand = true;
         match first.as_str() {
             "sweep" => {}
             "headline" => args.headline = true,
@@ -184,11 +172,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "bench-service" => args.bench = true,
             "chaos" => args.chaos = true,
             "lint" => args.lint = true,
-            "help" => {
+            "help" | "--help" | "-h" => {
                 args.help = true;
                 return Ok(args);
             }
-            flag if flag.starts_with('-') => subcommand = false,
+            flag if flag.starts_with('-') => {
+                return Err(format!(
+                    "expected a subcommand before `{flag}` (e.g. `mcexp sweep --fig 3`)"
+                ));
+            }
             other => {
                 return Err(format!(
                     "unknown subcommand `{other}` (expected sweep, headline, ablation, \
@@ -197,14 +189,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 ));
             }
         }
-        if subcommand {
-            i = 1;
-        }
     }
-
-    let deprecated = |old: &str, new: &str| {
-        eprintln!("[mcexp] note: `{old}` is deprecated; use `mcexp {new}`");
-    };
+    let mut i = 1;
 
     let value = |i: &mut usize| -> Result<String, String> {
         *i += 1;
@@ -240,12 +226,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match argv[i].as_str() {
             "--input" => args.input = Some(PathBuf::from(value(&mut i)?)),
             "--output" => args.output = Some(PathBuf::from(value(&mut i)?)),
-            "--fig" => {
-                if !subcommand {
-                    deprecated("--fig", "sweep --fig");
-                }
-                args.fig = Some(value(&mut i)?);
-            }
+            "--fig" => args.fig = Some(value(&mut i)?),
             "--m" => {
                 args.m_values = value(&mut i)?
                     .split(',')
@@ -273,38 +254,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out" => args.out = Some(PathBuf::from(value(&mut i)?)),
             "--json" => args.json = Some(PathBuf::from(value(&mut i)?)),
             "--gate" => args.gates.push(parse_gate(&value(&mut i)?)?),
-            "--perf-json" => {
-                deprecated("--perf-json", "perf --json");
-                args.perf_json = Some(PathBuf::from(value(&mut i)?));
-            }
-            "--analysis-json" => {
-                deprecated("--analysis-json", "analysis --json");
-                args.analysis_json = Some(PathBuf::from(value(&mut i)?));
-            }
-            "--headline" => {
-                if !subcommand {
-                    deprecated("--headline", "headline");
-                }
-                args.headline = true;
-            }
-            "--ablation" => {
-                if !subcommand {
-                    deprecated("--ablation", "ablation");
-                }
-                args.ablation = true;
-            }
-            "--isolation" => {
-                if !subcommand {
-                    deprecated("--isolation", "isolation");
-                }
-                args.isolation = true;
-            }
-            "--all" => {
-                if !subcommand {
-                    deprecated("--all", "all");
-                }
-                args.all = true;
-            }
             "--addr" => args.addr = Some(value(&mut i)?),
             "--workers" => {
                 args.workers = Some(
@@ -497,9 +446,6 @@ subcommands:
                             clean, 1 findings, 2 usage error
 
 shared options: --m 2,4,8  --sets N  --seed S  --threads T  --out DIR
-
-Old flag spellings (--fig/--headline/--ablation/--isolation/--all/
---perf-json/--analysis-json) still work and print a deprecation note.
 
 eval mode: read JSONL schedulability requests (one JSON object per line,
 from --input or stdin) and stream one JSON verdict per line (to --output
@@ -863,14 +809,14 @@ fn main() {
         }
     }
 
-    if args.perf || args.perf_json.is_some() {
+    if args.perf {
         did_something = true;
         let m = args.m_values.first().copied().unwrap_or(2);
         eprintln!("[mcexp] partition throughput m={m} sets={} ...", args.sets);
         let report = partition_throughput(m, args.sets, args.seed, &perf_lineup());
         println!("\n## Partition throughput (m = {m})\n");
         println!("{}", render_perf(&report));
-        if let Some(path) = args.json.as_ref().or(args.perf_json.as_ref()) {
+        if let Some(path) = &args.json {
             match write_perf_json(&report, path) {
                 Ok(()) => eprintln!("[mcexp] wrote {}", path.display()),
                 Err(e) => {
@@ -881,7 +827,7 @@ fn main() {
         }
     }
 
-    if args.analysis || args.analysis_json.is_some() {
+    if args.analysis {
         did_something = true;
         eprintln!(
             "[mcexp] analysis throughput m={:?} sets={} ...",
@@ -890,7 +836,7 @@ fn main() {
         let report = analysis_throughput(&args.m_values, args.sets, args.seed);
         println!("\n## Analysis throughput (reference vs workspace)\n");
         println!("{}", render_analysis_perf(&report));
-        if let Some(path) = args.json.as_ref().or(args.analysis_json.as_ref()) {
+        if let Some(path) = &args.json {
             match write_analysis_json(&report, path) {
                 Ok(()) => eprintln!("[mcexp] wrote {}", path.display()),
                 Err(e) => {
@@ -942,11 +888,29 @@ mod tests {
     fn unknown_subcommand_and_flag_are_usage_errors() {
         assert!(parse_args(&argv(&["frobnicate"])).is_err());
         assert!(parse_args(&argv(&["sweep", "--frob"])).is_err());
-        assert!(parse_args(&argv(&["--sets"])).is_err(), "missing value");
         assert!(
-            parse_args(&argv(&["--sets", "abc"])).is_err(),
+            parse_args(&argv(&["sweep", "--sets"])).is_err(),
+            "missing value"
+        );
+        assert!(
+            parse_args(&argv(&["sweep", "--sets", "abc"])).is_err(),
             "non-numeric"
         );
+        // The removed flag-only spellings of the subcommands.
+        for alias in [
+            &["--fig", "3"][..],
+            &["--headline"],
+            &["--ablation"],
+            &["--isolation"],
+            &["--all"],
+            &["--perf-json", "p.json"],
+            &["--analysis-json", "a.json"],
+            &["sweep", "--headline"],
+            &["perf", "--perf-json", "p.json"],
+        ] {
+            assert!(parse_args(&argv(alias)).is_err(), "{alias:?}");
+        }
+        assert!(parse_args(&argv(&["--help"])).unwrap().help);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 
 use mcsched::analysis::amc::{amc_rtb_bounds_batched, lo_responses_batched, reference};
 use mcsched::analysis::vdtune::reference as vd_reference;
-use mcsched::analysis::{AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest};
+use mcsched::analysis::{
+    AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
+};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use proptest::prelude::*;
@@ -168,7 +170,7 @@ proptest! {
         let tests: Vec<Box<dyn SchedulabilityTest>> =
             vec![Box::new(AmcRtb::new()), Box::new(AmcMax::new())];
         for test in &tests {
-            let mut state = test.admission_state();
+            let mut state = test.admission_state_in(&WorkspaceRef::new());
             let mut pending: Vec<Task> = ts.iter().copied().collect();
             for &op in &ops {
                 let admit = op & 1 == 0 || state.tasks().is_empty();
@@ -308,7 +310,7 @@ fn near_max_periods_run_end_to_end() {
     assert!(AmcMax::new().is_schedulable(&ts));
     // The admission layer sees the same instants.
     let test = AmcMax::new();
-    let mut state = test.admission_state();
+    let mut state = test.admission_state_in(&WorkspaceRef::new());
     for t in &ts {
         assert!(state.try_admit(t));
         state.commit(*t);

@@ -5,6 +5,9 @@
 //! map (or the exact same `PartitionError`) as building through the
 //! `OneShot` bridge, which re-runs the one-shot test per attempt.
 //!
+//! The batch build and a live `ClusterSession` replaying the same
+//! allocation order must place every task identically, too.
+//!
 //! Two layers of evidence:
 //!
 //! * proptests over unconstrained random task sets (implicit and
@@ -15,10 +18,11 @@
 
 use mcsched::analysis::{
     AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, IncrementalTest, OneShot, SchedulabilityTest,
+    WorkspaceRef,
 };
-use mcsched::core::{presets, Partition};
+use mcsched::core::{presets, AdmitError, AlgorithmSpec, Partition, TestName};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
-use mcsched::model::{Task, TaskSet};
+use mcsched::model::{Task, TaskId, TaskSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,7 +127,7 @@ proptest! {
         // Below the partitioner: drive each native state task by task and
         // compare every single admission verdict with the one-shot test.
         for (incremental, _, name) in test_pairs() {
-            let mut state = incremental.admission_state();
+            let mut state = incremental.admission_state_in(&WorkspaceRef::new());
             for task in &ts {
                 let mut union = state.tasks().clone();
                 union.push_unchecked(*task);
@@ -143,19 +147,16 @@ proptest! {
     }
 }
 
-/// The seeded corpus acceptance criterion: ≥ 500 generator-shaped task
-/// sets across implicit and constrained deadlines, every build compared
-/// bit-for-bit across all five tests.
-#[test]
-fn seeded_corpus_equivalence() {
+/// The seeded corpus: 130 generator-shaped task sets for each of four
+/// implicit/constrained workloads, tagged with the workload's `m`.
+fn seeded_corpus() -> Vec<(usize, TaskSet)> {
     let workloads = [
         (2usize, DeadlineModel::Implicit, 0.55, 0.30, 0.35, 1u64),
         (2, DeadlineModel::Constrained, 0.70, 0.35, 0.40, 2),
         (4, DeadlineModel::Implicit, 0.80, 0.40, 0.45, 3),
         (4, DeadlineModel::Constrained, 0.60, 0.25, 0.50, 4),
     ];
-    let mut generated = 0usize;
-    let mut compared = 0usize;
+    let mut corpus = Vec::new();
     for (m, deadlines, u_hh, u_hl, u_ll, seed) in workloads {
         let spec = TaskSetSpec::paper_defaults(m, GridPoint { u_hh, u_hl, u_ll }, deadlines);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -167,13 +168,90 @@ fn seeded_corpus_equivalence() {
                 continue;
             };
             made += 1;
-            compared += assert_equivalent(&ts, &[m]);
+            corpus.push((m, ts));
         }
         assert_eq!(made, 130, "generator starved at m={m} {deadlines}");
-        generated += made;
     }
-    assert!(generated >= 500, "corpus too small: {generated}");
+    corpus
+}
+
+/// The seeded corpus acceptance criterion: ≥ 500 generator-shaped task
+/// sets across implicit and constrained deadlines, every build compared
+/// bit-for-bit across all five tests.
+#[test]
+fn seeded_corpus_equivalence() {
+    let corpus = seeded_corpus();
+    let mut compared = 0usize;
+    for (m, ts) in &corpus {
+        compared += assert_equivalent(ts, &[*m]);
+    }
+    assert!(corpus.len() >= 500, "corpus too small: {}", corpus.len());
     assert!(compared >= 500 * 5, "comparisons too few: {compared}");
+}
+
+/// The uniprocessor test a registry [`TestName`] denotes.
+fn uni_test(test: TestName) -> Box<dyn SchedulabilityTest> {
+    match test {
+        TestName::EdfVd => Box::new(EdfVd::new()),
+        TestName::Ey => Box::new(Ey::new()),
+        TestName::Ecdf => Box::new(Ecdf::new()),
+        TestName::AmcRtb => Box::new(AmcRtb::new()),
+        TestName::AmcMax => Box::new(AmcMax::new()),
+    }
+}
+
+/// The batch build and a session replay of the strategy's allocation
+/// order place every task on the same processor, fail on the same task
+/// with the same per-processor loads, and make the same admission
+/// queries — over the seeded corpus, every registry test, every preset
+/// strategy and m ∈ {2, 4}.
+#[test]
+fn batch_build_matches_session_replay() {
+    let ws = WorkspaceRef::new();
+    for (_, ts) in seeded_corpus() {
+        for test in TestName::ALL {
+            let uni = uni_test(test);
+            for strategy in presets::all() {
+                let spec = AlgorithmSpec::new(strategy.clone(), test);
+                for m in [2, 4] {
+                    let ctx = format!("{} m={m} on {ts}", spec.name());
+                    let (built, stats) =
+                        Partition::build_reporting_in(&strategy, &uni, &ts, m, &ws);
+                    let mut session = spec.open_cluster(m);
+                    let mut failed = None;
+                    for task in strategy.order().sequence(&ts) {
+                        match session.admit(task) {
+                            Ok(_) => {}
+                            Err(AdmitError::Unschedulable {
+                                task,
+                                processor_loads,
+                            }) => {
+                                failed = Some((task, processor_loads));
+                                break;
+                            }
+                            Err(e) => panic!("{ctx}: {e}"),
+                        }
+                    }
+                    match built {
+                        Ok(p) => {
+                            assert_eq!(failed, None, "{ctx}");
+                            let ids: Vec<Vec<TaskId>> = p
+                                .iter()
+                                .map(|set| set.iter().map(Task::id).collect())
+                                .collect();
+                            assert_eq!(session.snapshot(), ids, "{ctx}");
+                        }
+                        Err(e) => {
+                            assert_eq!(failed, Some((e.task, e.processor_loads)), "{ctx}");
+                        }
+                    }
+                    let replayed = session.stats();
+                    assert_eq!(replayed.attempts, stats.attempts, "{ctx}");
+                    assert_eq!(replayed.admits, stats.admits, "{ctx}");
+                }
+            }
+        }
+    }
 }
 
 /// EDF-VD states answer every query in O(1); a full sweep-sized build
@@ -195,19 +273,20 @@ fn edfvd_states_never_run_full_analyses() {
             break ts;
         }
     };
-    let (_, stats) = Partition::build_reporting(&presets::ca_udp(), &EdfVd::new(), &ts, 4);
+    let ws = WorkspaceRef::new();
+    let (_, stats) = Partition::build_reporting_in(&presets::ca_udp(), &EdfVd::new(), &ts, 4, &ws);
     assert!(stats.attempts > 0);
     assert_eq!(stats.full, 0);
     assert_eq!(stats.incremental, stats.attempts);
 }
 
 /// The typed `IncrementalTest` interface and the object-safe
-/// `admission_state` hook hand out equivalent states.
+/// `admission_state_in` hook hand out equivalent states.
 #[test]
 fn typed_and_dyn_states_agree() {
     let test = AmcMax::new();
     let mut typed = test.new_state();
-    let mut dynamic = (&test as &dyn SchedulabilityTest).admission_state();
+    let mut dynamic = (&test as &dyn SchedulabilityTest).admission_state_in(&WorkspaceRef::new());
     let tasks = [
         Task::hi(0, 10, 2, 4).unwrap(),
         Task::lo(1, 15, 4).unwrap(),
