@@ -794,6 +794,9 @@ pub struct AnalysisWorkspace {
     pub(crate) demand: DemandKernel,
     /// Candidate tightening moves of one greedy round (EY / ECDF).
     pub(crate) moves: Vec<Move>,
+    /// The moves ECDF's first start applied while EY would have applied
+    /// them too — the prefix its EY fallback replays.
+    pub(crate) trail: Vec<Move>,
 }
 
 impl AnalysisWorkspace {

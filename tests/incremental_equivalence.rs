@@ -14,13 +14,18 @@
 //!   constrained deadlines), all five tests;
 //! * a deterministic generator-shaped corpus (≥ 500 sets across
 //!   implicit/constrained workloads × all five tests), matching the
-//!   acceptance criterion of the incremental-admission milestone.
+//!   acceptance criterion of the incremental-admission milestone;
+//! * saturated CU-UDP-ECDF m=8 sessions (tens of tasks per processor)
+//!   held against the retained seed ECDF, the regime where the tuner's
+//!   starts run deep enough for its EY fallback to replay a shared
+//!   trajectory.
 
+use mcsched::analysis::vdtune::reference;
 use mcsched::analysis::{
     AdmissionState, AmcMax, AmcRtb, Ecdf, EdfVd, Ey, IncrementalTest, OneShot, SchedulabilityTest,
     WorkspaceRef,
 };
-use mcsched::core::{presets, AdmitError, AlgorithmSpec, Partition, TestName};
+use mcsched::core::{presets, AdmitError, AlgorithmSpec, ClusterSession, Partition, TestName};
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskId, TaskSet};
 use proptest::prelude::*;
@@ -302,4 +307,66 @@ fn typed_and_dyn_states_agree() {
         }
     }
     assert_eq!(typed.tasks(), dynamic.tasks());
+}
+
+/// The retained seed ECDF ([`reference::ecdf_is_schedulable`]) as a
+/// test: `OneShot(Ecdf)` shares the production tuner, so only the seed
+/// code is an independent oracle for it.
+#[derive(Debug, Clone, Copy)]
+struct SeedEcdf;
+
+impl SchedulabilityTest for SeedEcdf {
+    fn name(&self) -> &'static str {
+        "ECDF"
+    }
+
+    fn is_schedulable(&self, ts: &TaskSet) -> bool {
+        reference::ecdf_is_schedulable(ts)
+    }
+}
+
+/// Saturated sessions, the serving regime: four seeded CU-UDP-ECDF m=8
+/// sessions, each fed 400 constrained-deadline arrivals generated at
+/// `UB = 1.4`, so processors fill to tens of tasks and most late arrivals
+/// are rejects that probe every processor. Every admit result and the
+/// final placement match a session over the seed ECDF.
+#[test]
+fn saturated_ecdf_sessions_match_seed_tuner() {
+    let mut spec = TaskSetSpec::paper_defaults(
+        8,
+        GridPoint {
+            u_hh: 1.4,
+            u_hl: 0.7,
+            u_ll: 0.7,
+        },
+        DeadlineModel::Constrained,
+    );
+    spec.n_min = 400;
+    spec.n_max = 400;
+    let strategy = presets::cu_udp();
+    let spec_ecdf = AlgorithmSpec::new(strategy.clone(), TestName::Ecdf);
+    for seed in [1u64, 2, 3, 4] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ts = loop {
+            if let Ok(ts) = spec.generate(&mut rng) {
+                break ts;
+            }
+        };
+        let mut fast = spec_ecdf.open_cluster(8);
+        let mut seed_session =
+            ClusterSession::with_test("seed", strategy.clone(), &OneShot(SeedEcdf), 8);
+        let mut rejects = 0usize;
+        for task in &ts {
+            let got = fast.admit(*task);
+            assert_eq!(got, seed_session.admit(*task), "seed {seed}, {task}");
+            rejects += usize::from(got.is_err());
+        }
+        assert_eq!(fast.snapshot(), seed_session.snapshot(), "seed {seed}");
+        let per_processor = fast.task_count() / 8;
+        assert!(
+            per_processor >= 20,
+            "seed {seed}: not saturated ({per_processor} tasks/processor)"
+        );
+        assert!(rejects >= 100, "seed {seed}: only {rejects} rejects");
+    }
 }

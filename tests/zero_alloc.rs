@@ -24,7 +24,10 @@ use mcsched::analysis::{
     AmcMax, AmcRtb, AnalysisWorkspace, ClassicEdf, Ecdf, EdfVd, Ey, SchedulabilityTest,
     WorkspaceRef,
 };
+use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Task, TaskSet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -276,6 +279,64 @@ fn assert_zero_alloc_batched_blocks() {
     }
 }
 
+/// Asserts steady-state ECDF reject probes on a saturated processor are
+/// allocation-free: one processor filled from a serving-shaped arrival
+/// stream (constrained deadlines, `UB = 1.4` at m = 8) to 30 tasks,
+/// then probed with 16 later arrivals it rejects after a full analysis.
+/// Each probe runs both ECDF starts to a dead end and records the first
+/// start's trail; on this stream the EY fallback replays it for 9 of
+/// the probes and skips for the other 7, so the trail buffer must be
+/// reused from probe to probe.
+fn assert_zero_alloc_saturated_rejects() {
+    let mut spec = TaskSetSpec::paper_defaults(
+        8,
+        GridPoint {
+            u_hh: 1.4,
+            u_hl: 0.7,
+            u_ll: 0.7,
+        },
+        DeadlineModel::Constrained,
+    );
+    spec.n_min = 400;
+    spec.n_max = 400;
+    let mut rng = StdRng::seed_from_u64(5);
+    let arrivals = loop {
+        if let Ok(ts) = spec.generate(&mut rng) {
+            break ts;
+        }
+    };
+    let ecdf = Ecdf::new();
+    let ws = WorkspaceRef::new();
+    let mut state = ecdf.admission_state_in(&ws);
+    let mut probes = Vec::new();
+    for t in &arrivals {
+        let full_before = state.stats().full;
+        let admitted = state.try_admit(t);
+        let saturated = state.tasks().len() == 30;
+        if admitted && !saturated {
+            state.commit(*t);
+        } else if !admitted && saturated && state.stats().full > full_before && probes.len() < 16 {
+            probes.push(*t);
+        }
+    }
+    assert_eq!(state.tasks().len(), 30, "processor did not saturate");
+    assert_eq!(probes.len(), 16, "too few analysed rejects");
+    for p in &probes {
+        assert!(!state.try_admit(p), "warm-up probe {p} admitted");
+    }
+    let allocs = count_allocations(|| {
+        for _ in 0..4 {
+            for p in &probes {
+                std::hint::black_box(state.try_admit(std::hint::black_box(p)));
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "saturated ECDF reject probes allocated {allocs} times"
+    );
+}
+
 #[test]
 fn admission_and_one_shot_paths_are_allocation_free() {
     let tests: Vec<Box<dyn SchedulabilityTest>> = vec![
@@ -307,4 +368,5 @@ fn admission_and_one_shot_paths_are_allocation_free() {
     assert_zero_alloc_one_shot(&ClassicEdf::lo_mode(), &sets);
     assert_zero_alloc_warm_qpa();
     assert_zero_alloc_batched_blocks();
+    assert_zero_alloc_saturated_rejects();
 }
