@@ -27,26 +27,25 @@
 //!   `C^H_k`. The final bound takes the best of AMC-max and AMC-rtb, so
 //!   AMC-max dominates AMC-rtb by construction (as published).
 //!
-//! # Batched lane evaluation
+//! # Lane evaluation
 //!
 //! The LO-mode and rtb fixpoints on the hot path do not chase `tasks[j]`
 //! through `Task` structs: they run over a structure-of-arrays view
 //! (`SoaTasks` in [`crate::workspace`]) holding one contiguous `u64` lane
-//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`) in
-//! priority order, plus *compacted* HC/LC sub-views. A block of up to
-//! `RTA_LANES` consecutive priority positions iterates its fixpoints
-//! together (`lo_rta_batched` / `rtb_batched`): each sweep walks the
-//! block's shared higher-priority lanes **once**, charging every live
-//! iterate — independent integer divisions the CPU can overlap — and
-//! converged slots are compacted out so no division is spent on a
-//! finished task. The rtb iteration additionally hoists the LC
-//! interference term `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of the loop (it
-//! depends only on the already-fixed low-mode response) and then touches
-//! exclusively the compacted hp-HC lanes.
+//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the
+//! periods' reciprocals) in priority order, and two increasing position
+//! lists splitting the positions by criticality. Each recurrence has one
+//! kernel (`lo_rta` / `rtb`) that iterates one task's fixpoint at a time,
+//! monomorphised once on the set's fast-kernel certificate: certified
+//! sets run plain arithmetic and divide by one widening multiply; the
+//! rest run the saturating, exactly-fixed-up route. The rtb kernel
+//! hoists the LC interference term `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of
+//! the loop (it depends only on the already-fixed low-mode response) and
+//! then gathers only the hp-HC lanes through the HC position list.
 //!
 //! # Seeding soundness
 //!
-//! Every batched fixpoint is seeded at
+//! Every kernel fixpoint is seeded at
 //! `max(C_i, cached bound, C_i + Σ_{j∈hp} C_j)`:
 //!
 //! * the *cached bound* is the task's response before the probe's
@@ -294,74 +293,49 @@ pub(crate) fn df_fast(a: u64, m1: u64) -> u64 {
     ((a as u128 * m1 as u128) >> 64) as u64
 }
 
-/// Width of one batched fixpoint block: how many consecutive
-/// priority-order positions iterate their response-time fixpoints
-/// simultaneously. Eight keeps the per-sweep slot state (positions,
-/// iterates, accumulators) in registers while giving the divider pipeline
-/// several independent `⌈r/T⌉` chains per interference lane.
-const RTA_LANES: usize = 8;
-
-/// Batched low-mode RTA over the SoA lanes for positions `from..`.
-///
-/// Blocks of up to [`RTA_LANES`] consecutive positions run as a
-/// synchronous Jacobi iteration: one sweep walks the shared
-/// higher-priority lanes (`j < base`) once, loading each `(C^L_j, T_j)`
-/// pair a single time and charging it against every live iterate, then
-/// adds the small per-slot triangle of in-block predecessors. Each slot
-/// performs exactly Kleene iteration of its own monotone interference
-/// function from a sound lower bound (see the module docs), so the
-/// responses and the verdict are bit-identical to the scalar path;
-/// converged slots are compacted out so no division is spent on a
-/// finished task. Arithmetic saturates — a saturated sum exceeds every
+/// `a + b` in the kernel arithmetic: plain under the fast-kernel
+/// certificate (which rules out overflow, see [`SoaTasks::fast`]),
+/// saturating otherwise — a saturated sum exceeds every
 /// `deadline < u64::MAX` and rejects exactly like the guarded scalar
 /// fixpoint.
+#[inline(always)]
+fn add<const FAST: bool>(a: u64, b: u64) -> u64 {
+    if FAST {
+        a + b
+    } else {
+        a.saturating_add(b)
+    }
+}
+
+/// One interference term `c·⌈r/T⌉` in the kernel arithmetic, with
+/// `m = inv64(T)`: the no-fixup reciprocal ceiling [`dc_fast`] with a
+/// plain product under the certificate, the exact [`dc_inv`] with a
+/// saturating product otherwise.
+#[inline(always)]
+fn charge<const FAST: bool>(c: u64, r: u64, t: u64, m: u64) -> u64 {
+    if FAST {
+        c * dc_fast(r, m.wrapping_add(1))
+    } else {
+        c.saturating_mul(dc_inv(r, t, m))
+    }
+}
+
+/// Low-mode RTA over the SoA lanes for positions `from..`, one task at a
+/// time.
+///
+/// `FAST` selects the arithmetic (see [`add`] / [`charge`]); callers
+/// dispatch once on [`SoaTasks::fast`], and the two instantiations
+/// compute bit-identical responses. Each task's fixpoint is seeded at
+/// `max(C^L, seed(p), C^L + Σ_{j<p} C^L_j)` — every component a sound
+/// lower bound (module docs) — and a seed past the deadline already
+/// decides the verdict. Under the certificate Σ C^L is bounded by the
+/// interference budget (each budget term is at least its task's
+/// `max(C^L, C^H)`), so the prefix sum cannot overflow.
 ///
 /// `seed(pos)` must return a sound lower bound on the position's response
 /// (0 when unknown). Responses land in `lo_resp` **by task index** via
 /// `order`. Returns `false` iff some analysed task misses its deadline.
-fn lo_rta_batched(
-    soa: &SoaTasks,
-    order: &[usize],
-    from: usize,
-    seed: impl Fn(usize) -> u64,
-    lo_resp: &mut [Time],
-) -> bool {
-    // Monomorphise on the small-value certificate: the fast kernel drops
-    // the saturation guards and the reciprocal fixup, both provably
-    // no-ops under the certificate (see [`SoaTasks::fast`]), so the two
-    // instantiations compute bit-identical responses. Small certified
-    // sets skip the lane machinery entirely: at a handful of tasks the
-    // shared-rectangle sweep has nothing to share and the slot state
-    // costs more than it saves.
-    if soa.fast() {
-        if soa.len() <= RTA_SCALAR_MAX {
-            lo_rta_scalar_fast(soa, order, from, seed, lo_resp)
-        } else {
-            lo_rta_block::<true>(soa, order, from, seed, lo_resp)
-        }
-    } else {
-        lo_rta_block::<false>(soa, order, from, seed, lo_resp)
-    }
-}
-
-/// Below this set size the certified kernels run scalar, task at a time,
-/// over the same SoA lanes: one lane block covers the whole set, so the
-/// batched sweep degenerates to a Jacobi iteration whose slot
-/// bookkeeping outweighs the shared loads it exists to amortise. The
-/// division count is identical either way (every task still iterates its
-/// own Kleene chain to the same fixed point), so verdicts and responses
-/// stay bit-identical.
-const RTA_SCALAR_MAX: usize = 10;
-
-/// Scalar low-mode RTA over the SoA lanes — the [`RTA_SCALAR_MAX`] route
-/// of [`lo_rta_batched`]. Requires the fast-kernel certificate
-/// ([`SoaTasks::fast`]): all arithmetic is plain (the certificate rules
-/// out overflow) and every ceiling division is the no-fixup reciprocal
-/// multiply. Seeds are the one-job bound and the caller's warm bound —
-/// both sound lower bounds on the fixed point, so the computed responses
-/// equal the batched kernel's (Kleene iteration from any sound seed
-/// converges to the same least fixed point).
-fn lo_rta_scalar_fast(
+fn lo_rta<const FAST: bool>(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
@@ -370,28 +344,24 @@ fn lo_rta_scalar_fast(
 ) -> bool {
     let n = soa.len();
     let wl = &soa.wcet_lo;
+    let per = &soa.period;
     let inv = &soa.inv_period;
     let dl = &soa.deadline;
-    // Under the certificate Σ C^L is bounded by the interference budget
-    // (each budget term is at least its task's `max(C^L, C^H)`), so the
-    // prefix sums below cannot overflow. No linear utilisation seed
-    // here: at scalar-route sizes the handful of extra sweeps it saves
-    // costs less than computing it (the batched kernel, which pays the
-    // seed once per eight lanes, keeps it).
-    let mut below: u64 = wl[..from].iter().sum();
+    let mut below = wl[..from].iter().fold(0, |a, &c| add::<FAST>(a, c));
     for p in from..n {
-        let one_job = wl[p] + below;
-        below += wl[p];
+        let one_job = add::<FAST>(wl[p], below);
+        below = add::<FAST>(below, wl[p]);
         let mut r = wl[p].max(seed(p)).max(one_job);
         if r > dl[p] {
             return false;
         }
         loop {
             let mut acc = 0u64;
-            for j in 0..p {
-                acc += wl[j] * dc_fast(r, inv[j].wrapping_add(1));
+            // Zipped lane prefixes: no per-term bounds checks.
+            for ((&c, &t), &m) in wl[..p].iter().zip(&per[..p]).zip(&inv[..p]) {
+                acc = add::<FAST>(acc, charge::<FAST>(c, r, t, m));
             }
-            let next = wl[p] + acc;
+            let next = add::<FAST>(wl[p], acc);
             if next > dl[p] {
                 return false;
             }
@@ -405,134 +375,33 @@ fn lo_rta_scalar_fast(
     true
 }
 
-/// The monomorphised body of [`lo_rta_batched`].
-fn lo_rta_block<const FAST: bool>(
+/// [`lo_rta`] monomorphised on the loaded set's certificate.
+fn run_lo_rta(
     soa: &SoaTasks,
     order: &[usize],
     from: usize,
     seed: impl Fn(usize) -> u64,
     lo_resp: &mut [Time],
 ) -> bool {
-    let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let per = &soa.period;
-    let inv = &soa.inv_period;
-    let dl = &soa.deadline;
-    // Fixed-point (32 fraction bits) underestimate of the task's
-    // utilisation `C^L/T`, derived from the reciprocal lane:
-    // `C·⌊2^64/T⌋/2^32 ≤ C·2^32/T`. Clamped at 1.0 — once the running
-    // prefix reaches that, the linear seed below is skipped anyway.
-    const FP32: u64 = 1 << 32;
-    let util = |j: usize| ((wl[j] as u128 * inv[j] as u128) >> 32).min(FP32 as u128) as u64;
-    // Σ C^L (and Σ util) above the first analysed position, for the
-    // one-job and linear seeds.
-    let mut below: u64 = wl[..from].iter().fold(0, |a, &c| a.saturating_add(c));
-    let mut usum: u64 = (0..from).fold(0, |a, j| a.saturating_add(util(j)));
-    let mut base = from;
-    while base < n {
-        let width = RTA_LANES.min(n - base);
-        let mut pos = [0usize; RTA_LANES];
-        let mut r = [0u64; RTA_LANES];
-        for k in 0..width {
-            let p = base + k;
-            pos[k] = p;
-            let one_job = wl[p].saturating_add(below);
-            below = below.saturating_add(wl[p]);
-            // Linear lower bound on the fixed point: in the reals,
-            // `R* = C + Σ C_j·⌈R*/T_j⌉ ≥ C + R*·U_hp`, so
-            // `R* ≥ C·2^32/den` with `den = 2^32 − usum` (substituting
-            // the *under*estimate `usum/2^32 ≤ U_hp` only lowers the
-            // bound). Two division-free consequences, both sound:
-            //
-            //  * reject: `C·2^32 > D·den` implies `R* > D` — checked by
-            //    widening multiply, no quotient needed;
-            //  * seed: `(C·2^32) >> bitlen(den) ≤ C·2^32/den ≤ R*`
-            //    (within 2× of the exact bound), so seeding from it
-            //    converges to the same fixed point (module docs).
-            //
-            // Skipped when `usum` saturates — the other seeds still
-            // apply.
-            let mut lin = 0;
-            if usum < FP32 {
-                let den = FP32 - usum;
-                let scaled = (wl[p] as u128) << 32;
-                if scaled > dl[p] as u128 * den as u128 {
-                    return false;
-                }
-                lin = (scaled >> (128 - u128::from(den).leading_zeros())) as u64;
-            }
-            usum = usum.saturating_add(util(p));
-            r[k] = wl[p].max(seed(p)).max(one_job).max(lin);
-            // Every seed component is a sound lower bound on R*, so a
-            // seed past the deadline already decides the verdict.
-            if r[k] > dl[p] {
-                return false;
-            }
-        }
-        let mut live = width;
-        while live > 0 {
-            let mut acc = [0u64; RTA_LANES];
-            // Shared rectangle: lanes above the whole block.
-            for j in 0..base {
-                let (c, t, m) = (wl[j], per[j], inv[j]);
-                let m1 = m.wrapping_add(1);
-                for a in acc[..live].iter_mut().zip(&r[..live]) {
-                    *a.0 = if FAST {
-                        *a.0 + c * dc_fast(*a.1, m1)
-                    } else {
-                        a.0.saturating_add(c.saturating_mul(dc_inv(*a.1, t, m)))
-                    };
-                }
-            }
-            // Per-slot triangle: in-block predecessors.
-            for k in 0..live {
-                let mut a = acc[k];
-                for j in base..pos[k] {
-                    a = if FAST {
-                        a + wl[j] * dc_fast(r[k], inv[j].wrapping_add(1))
-                    } else {
-                        a.saturating_add(wl[j].saturating_mul(dc_inv(r[k], per[j], inv[j])))
-                    };
-                }
-                acc[k] = a;
-            }
-            // Advance every live iterate; compact converged slots out
-            // (order-preserving, so in-block hp relationships survive).
-            let mut w = 0;
-            for k in 0..live {
-                let p = pos[k];
-                let next = if FAST {
-                    wl[p] + acc[k]
-                } else {
-                    wl[p].saturating_add(acc[k])
-                };
-                if next > dl[p] {
-                    return false;
-                }
-                if next == r[k] {
-                    lo_resp[order[p]] = Time::new(next);
-                } else {
-                    pos[w] = p;
-                    r[w] = next;
-                    w += 1;
-                }
-            }
-            live = w;
-        }
-        base += width;
+    if soa.fast() {
+        lo_rta::<true>(soa, order, from, seed, lo_resp)
+    } else {
+        lo_rta::<false>(soa, order, from, seed, lo_resp)
     }
-    true
 }
 
-/// Batched AMC-rtb high-mode bounds over the compacted HC lanes, for HC
-/// ranks `from_rank..`.
+/// AMC-rtb high-mode bounds over the SoA lanes for the HC tasks of ranks
+/// `from_rank..` (indices into [`SoaTasks::hc_pos`]), one task at a time.
 ///
 /// The LC contribution `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` is constant across
 /// a task's fixpoint iterations (it depends only on the already-computed
-/// low-mode response), so it is folded once per task; each sweep then
-/// touches exclusively the compact hp-HC lanes. Block structure, seeding
-/// and saturation are as in [`lo_rta_batched`].
-fn rtb_batched(
+/// low-mode response), so it is folded once per task over the LC
+/// positions above it — exactly the first `p − q` entries of
+/// [`SoaTasks::lc_pos`] for the HC task of rank `q` at position `p` — and
+/// each sweep then gathers only the hp-HC lanes through `hc_pos[..q]`.
+/// Arithmetic, seeding (`max(C^H, seed(p), C^H + Σ hp C^H + LC charge)`)
+/// and the early reject are as in [`lo_rta`].
+fn rtb<const FAST: bool>(
     soa: &SoaTasks,
     order: &[usize],
     from_rank: usize,
@@ -540,78 +409,37 @@ fn rtb_batched(
     seed: impl Fn(usize) -> u64,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
-    // Same certificate-driven monomorphisation (and small-set scalar
-    // route) as [`lo_rta_batched`].
-    if soa.fast() {
-        if soa.len() <= RTA_SCALAR_MAX {
-            rtb_scalar_fast(soa, order, from_rank, lo_resp, seed, hi_resp)
-        } else {
-            rtb_block::<true>(soa, order, from_rank, lo_resp, seed, hi_resp)
-        }
-    } else {
-        rtb_block::<false>(soa, order, from_rank, lo_resp, seed, hi_resp)
-    }
-}
-
-/// Scalar AMC-rtb bounds — the [`RTA_SCALAR_MAX`] route of
-/// [`rtb_batched`]. Walks the primary lanes with the `hc` flags instead
-/// of the compacted criticality views (so it runs even before
-/// [`SoaTasks::build_compact`]); interference terms accumulate in
-/// position order, exactly the compacted lanes' order, and the
-/// fast-kernel certificate makes every sum exact — responses are
-/// bit-identical to the batched kernel's.
-fn rtb_scalar_fast(
-    soa: &SoaTasks,
-    order: &[usize],
-    from_rank: usize,
-    lo_resp: &[Time],
-    seed: impl Fn(usize) -> u64,
-    hi_resp: &mut [Option<Time>],
-) -> bool {
+    // Equal-length lane slices, so the compiler can share one bounds
+    // check across the lanes gathered at a position.
     let n = soa.len();
-    let wl = &soa.wcet_lo;
-    let wh = &soa.wcet_hi;
-    let inv = &soa.inv_period;
-    let dl = &soa.deadline;
-    let hc = &soa.hc;
-    // Stack-local criticality split: the positions ahead of `p` in each
-    // class, appended as `p` advances. The fixpoint loops then run over
-    // dense index lists instead of testing the (data-random) `hc` flag
-    // per element per sweep.
-    let mut hj = [0usize; RTA_SCALAR_MAX];
-    let mut lj = [0usize; RTA_SCALAR_MAX];
-    let (mut hn, mut ln) = (0usize, 0usize);
-    let mut below = 0u64;
-    for p in 0..n {
-        if !hc[p] {
-            lj[ln] = p;
-            ln += 1;
-            continue;
-        }
-        if hn < from_rank {
-            below += wh[p];
-            hj[hn] = p;
-            hn += 1;
-            continue;
-        }
+    let wl = &soa.wcet_lo[..n];
+    let wh = &soa.wcet_hi[..n];
+    let per = &soa.period[..n];
+    let inv = &soa.inv_period[..n];
+    let dl = &soa.deadline[..n];
+    let hc_pos = &soa.hc_pos;
+    let mut below = hc_pos[..from_rank]
+        .iter()
+        .fold(0, |a, &j| add::<FAST>(a, wh[j]));
+    for (q, &p) in hc_pos.iter().enumerate().skip(from_rank) {
         // LC charge, frozen at the task's own low-mode response.
         let cap = lo_resp[order[p]].as_ticks();
-        let mut c0 = 0u64;
-        for &j in &lj[..ln] {
-            c0 += wl[j] * dc_fast(cap, inv[j].wrapping_add(1));
+        let mut lcc = 0u64;
+        for &j in &soa.lc_pos[..p - q] {
+            lcc = add::<FAST>(lcc, charge::<FAST>(wl[j], cap, per[j], inv[j]));
         }
-        let one_job = wh[p] + below + c0;
-        below += wh[p];
+        let one_job = add::<FAST>(add::<FAST>(wh[p], below), lcc);
+        below = add::<FAST>(below, wh[p]);
         let mut r = wh[p].max(seed(p)).max(one_job);
         if r > dl[p] {
             return false;
         }
         loop {
-            let mut acc = c0;
-            for &j in &hj[..hn] {
-                acc += wh[j] * dc_fast(r, inv[j].wrapping_add(1));
+            let mut acc = lcc;
+            for &j in &hc_pos[..q] {
+                acc = add::<FAST>(acc, charge::<FAST>(wh[j], r, per[j], inv[j]));
             }
-            let next = wh[p] + acc;
+            let next = add::<FAST>(wh[p], acc);
             if next > dl[p] {
                 return false;
             }
@@ -621,14 +449,12 @@ fn rtb_scalar_fast(
             r = next;
         }
         hi_resp[order[p]] = Some(Time::new(r));
-        hj[hn] = p;
-        hn += 1;
     }
     true
 }
 
-/// The monomorphised body of [`rtb_batched`].
-fn rtb_block<const FAST: bool>(
+/// [`rtb`] monomorphised on the loaded set's certificate.
+fn run_rtb(
     soa: &SoaTasks,
     order: &[usize],
     from_rank: usize,
@@ -636,103 +462,11 @@ fn rtb_block<const FAST: bool>(
     seed: impl Fn(usize) -> u64,
     hi_resp: &mut [Option<Time>],
 ) -> bool {
-    let hn = soa.hc_len();
-    let wh = &soa.wcet_hi;
-    let dl = &soa.deadline;
-    let hw = &soa.hc_wcet_hi;
-    let ht = &soa.hc_period;
-    let hm = &soa.hc_inv_period;
-    let (lw, lt, lm) = (&soa.lc_wcet_lo, &soa.lc_period, &soa.lc_inv_period);
-    let mut below: u64 = hw[..from_rank].iter().fold(0, |a, &c| a.saturating_add(c));
-    let mut base = from_rank;
-    while base < hn {
-        let width = RTA_LANES.min(hn - base);
-        let mut rank = [0usize; RTA_LANES];
-        let mut pos = [0usize; RTA_LANES];
-        let mut lcc = [0u64; RTA_LANES];
-        let mut r = [0u64; RTA_LANES];
-        for k in 0..width {
-            let q = base + k;
-            let p = soa.hc_pos[q];
-            rank[k] = q;
-            pos[k] = p;
-            // The LC lanes above position p are exactly the first p − q
-            // compacted LC entries; their charge is frozen at the task's
-            // own low-mode response.
-            let cap = lo_resp[order[p]].as_ticks();
-            let mut c0 = 0u64;
-            for l in 0..(p - q) {
-                c0 = if FAST {
-                    c0 + lw[l] * dc_fast(cap, lm[l].wrapping_add(1))
-                } else {
-                    c0.saturating_add(lw[l].saturating_mul(dc_inv(cap, lt[l], lm[l])))
-                };
-            }
-            lcc[k] = c0;
-            let one_job = wh[p].saturating_add(below).saturating_add(c0);
-            below = below.saturating_add(hw[q]);
-            r[k] = wh[p].max(seed(p)).max(one_job);
-            // Every seed component is a sound lower bound on the
-            // fixed point (the one-job bound: each hp-HC term counts at
-            // least one job, the LC charge is the frozen constant), so a
-            // seed past the deadline already decides the verdict — and
-            // keeps fast-kernel iterates below `2^32`.
-            if r[k] > dl[p] {
-                return false;
-            }
-        }
-        let mut live = width;
-        while live > 0 {
-            let mut acc = [0u64; RTA_LANES];
-            acc[..live].copy_from_slice(&lcc[..live]);
-            for q in 0..base {
-                let (c, t, m) = (hw[q], ht[q], hm[q]);
-                let m1 = m.wrapping_add(1);
-                for a in acc[..live].iter_mut().zip(&r[..live]) {
-                    *a.0 = if FAST {
-                        *a.0 + c * dc_fast(*a.1, m1)
-                    } else {
-                        a.0.saturating_add(c.saturating_mul(dc_inv(*a.1, t, m)))
-                    };
-                }
-            }
-            for k in 0..live {
-                let mut a = acc[k];
-                for q in base..rank[k] {
-                    a = if FAST {
-                        a + hw[q] * dc_fast(r[k], hm[q].wrapping_add(1))
-                    } else {
-                        a.saturating_add(hw[q].saturating_mul(dc_inv(r[k], ht[q], hm[q])))
-                    };
-                }
-                acc[k] = a;
-            }
-            let mut w = 0;
-            for k in 0..live {
-                let p = pos[k];
-                let next = if FAST {
-                    wh[p] + acc[k]
-                } else {
-                    wh[p].saturating_add(acc[k])
-                };
-                if next > dl[p] {
-                    return false;
-                }
-                if next == r[k] {
-                    hi_resp[order[p]] = Some(Time::new(next));
-                } else {
-                    rank[w] = rank[k];
-                    pos[w] = p;
-                    lcc[w] = lcc[k];
-                    r[w] = next;
-                    w += 1;
-                }
-            }
-            live = w;
-        }
-        base += width;
+    if soa.fast() {
+        rtb::<true>(soa, order, from_rank, lo_resp, seed, hi_resp)
+    } else {
+        rtb::<false>(soa, order, from_rank, lo_resp, seed, hi_resp)
     }
-    true
 }
 
 /// Low-mode response-time analysis at `C^L` budgets under
@@ -769,16 +503,16 @@ impl LoRta {
     /// As [`LoRta::compute`], under a caller-supplied priority order
     /// (indices from highest to lowest priority).
     ///
-    /// Runs the batched SoA kernel over pooled workspace lanes; responses
-    /// are bit-identical to scalar per-task iteration (see the module
+    /// Runs the SoA kernel over pooled workspace lanes; responses are
+    /// bit-identical to the seed per-task iteration (see the module
     /// docs).
     // mclint: cold — allocates only the caller-owned result, once per judgement
     pub fn compute_with_order(ts: &TaskSet, order: &[usize]) -> Option<Vec<Time>> {
         let tasks = ts.as_slice();
         let mut resp = vec![Time::ZERO; tasks.len()];
         AnalysisWorkspace::with(|ws| {
-            ws.soa.load_primary(tasks, order);
-            lo_rta_batched(&ws.soa, order, 0, |_| 0, &mut resp)
+            ws.soa.load(tasks, order);
+            run_lo_rta(&ws.soa, order, 0, |_| 0, &mut resp)
         })
         .then_some(resp)
     }
@@ -786,7 +520,7 @@ impl LoRta {
 
 /// The seed low-mode RTA: one scalar fixpoint per task, chasing the AoS
 /// `Task` structs. Retained for the [`reference`] module (the hot path
-/// runs [`lo_rta_batched`] instead).
+/// runs [`lo_rta`] instead).
 // mclint: cold — seed implementation kept for the reference module, never on the probe path
 fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
     let mut resp = vec![Time::ZERO; tasks.len()];
@@ -850,7 +584,7 @@ fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorksp
         soa,
         ..
     } = ws;
-    analyze_into(ts.as_slice(), variant, false, soa, streams, hc, amc)
+    analyze_into(ts.as_slice(), variant, soa, streams, hc, amc)
 }
 
 /// One step sequence of a single interference term in the streaming
@@ -1313,8 +1047,9 @@ impl AmcRtb {
 /// some level has no feasible task. The allocation-free core behind
 /// [`AmcRtb::audsley_order`], the one-shot OPA test and the incremental
 /// OPA admission probes. The unassigned set lives in `soa` lanes
-/// (slice order), shrunk by delta as levels are assigned, so every
-/// feasibility probe runs over compact contiguous lanes.
+/// (slice order, loaded through the identity order `unassigned` starts
+/// as), shrunk by delta as levels are assigned, so every feasibility
+/// probe runs over compact contiguous lanes.
 fn audsley_lowest_first(
     tasks: &[Task],
     soa: &mut SoaTasks,
@@ -1323,7 +1058,7 @@ fn audsley_lowest_first(
 ) -> bool {
     unassigned.clear();
     unassigned.extend(0..tasks.len());
-    soa.load_seq(tasks);
+    soa.load(tasks, unassigned);
     lowest_first.clear();
     while !unassigned.is_empty() {
         // Find a task that is feasible at the current (lowest free)
@@ -1345,7 +1080,8 @@ fn audsley_lowest_first(
 /// bound when it is HC). The higher-priority set is `all lanes except p`,
 /// iterated as two contiguous ranges — no index filtering, no
 /// materialised `hp` vector; the HI fixpoint folds the constant LC charge
-/// once and then iterates over the compacted HC lanes only. Interference
+/// once over [`SoaTasks::lc_pos`] and then gathers only the HC lanes
+/// through [`SoaTasks::hc_pos`], skipping `p`'s own entry. Interference
 /// sums are integer, so the order of terms is irrelevant to the fixed
 /// points.
 fn rtb_feasible_at(soa: &SoaTasks, p: usize) -> bool {
@@ -1379,25 +1115,21 @@ fn rtb_feasible_at(soa: &SoaTasks, p: usize) -> bool {
     // p is HC, so every LC lane interferes; its charge is frozen at the
     // low-mode response just computed.
     let mut lcc = 0u64;
-    for ((&c, &t), &m) in soa
-        .lc_wcet_lo
-        .iter()
-        .zip(&soa.lc_period)
-        .zip(&soa.lc_inv_period)
-    {
-        lcc = lcc.saturating_add(c.saturating_mul(dc_inv(lo_resp, t, m)));
+    for &j in &soa.lc_pos {
+        lcc = lcc.saturating_add(wl[j].saturating_mul(dc_inv(lo_resp, per[j], inv[j])));
     }
     let prank = soa.hc_rank_below(p);
-    let (hw, ht, hm) = (&soa.hc_wcet_hi, &soa.hc_period, &soa.hc_inv_period);
-    let ch = soa.wcet_hi[p];
+    let (above, rest) = soa.hc_pos.split_at(prank);
+    let wh = &soa.wcet_hi;
+    let ch = wh[p];
     let mut r = ch;
     loop {
         let mut acc = lcc;
-        for q in 0..prank {
-            acc = acc.saturating_add(hw[q].saturating_mul(dc_inv(r, ht[q], hm[q])));
+        for &j in above {
+            acc = acc.saturating_add(wh[j].saturating_mul(dc_inv(r, per[j], inv[j])));
         }
-        for q in prank + 1..hw.len() {
-            acc = acc.saturating_add(hw[q].saturating_mul(dc_inv(r, ht[q], hm[q])));
+        for &j in &rest[1..] {
+            acc = acc.saturating_add(wh[j].saturating_mul(dc_inv(r, per[j], inv[j])));
         }
         let next = ch.saturating_add(acc);
         if next > d {
@@ -1550,11 +1282,6 @@ impl AmcCache {
     }
 }
 
-/// The workspace's name for the same buffers: the one-shot path reuses
-/// the incremental layer's cache type as scratch (see
-/// [`amc_schedulable_in`]).
-pub(crate) type AmcScratch = AmcCache;
-
 /// Incremental admission for the AMC response-time analyses.
 ///
 /// Inserting a candidate into the deadline-monotonic order leaves every
@@ -1587,7 +1314,7 @@ pub struct AmcState {
     /// union, as the full-analysis fallback does).
     pending_insert: Option<usize>,
     /// SoA lane view of the committed set in `cache.order` — maintained
-    /// by delta under probes/commits so the batched kernels never rebuild
+    /// by delta under probes/commits so the lane kernels never rebuild
     /// it. Meaningful only while `cache_valid`.
     soa: SoaTasks,
     /// Scratch buffers shared with the other states of the same
@@ -1621,7 +1348,6 @@ impl AmcState {
                 self.cache_valid = analyze_into(
                     self.committed.tasks.as_slice(),
                     self.variant,
-                    true,
                     &mut self.soa,
                     &mut ws.streams,
                     &mut ws.hc,
@@ -1634,15 +1360,13 @@ impl AmcState {
 
 /// Full analysis of `tasks` into `out` (used for the non-incremental
 /// paths and cache rebuilds); `soa` receives the DM-ordered lane view
-/// (left holding it — with the criticality views built when `views` is
-/// set — on success, for delta reuse by the incremental state);
-/// `streams`/`slots` are candidate-walk scratch. Returns `false` iff the
-/// one-shot test rejects — `out` is then partial and must be treated as
-/// invalid.
+/// (left holding it on success, for delta reuse by the incremental
+/// state); `streams`/`slots` are candidate-walk scratch. Returns `false`
+/// iff the one-shot test rejects — `out` is then partial and must be
+/// treated as invalid.
 fn analyze_into(
     tasks: &[Task],
     variant: AmcVariant,
-    views: bool,
     soa: &mut SoaTasks,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
@@ -1655,25 +1379,14 @@ fn analyze_into(
         hi_resp,
     } = out;
     dm_order_into(tasks, order);
-    soa.load_primary(tasks, order);
+    soa.load(tasks, order);
     lo_resp.resize(tasks.len(), Time::ZERO);
-    if !lo_rta_batched(soa, order, 0, |_| 0, lo_resp) {
+    if !run_lo_rta(soa, order, 0, |_| 0, lo_resp) {
         return false;
     }
-    // The criticality views are only needed past low mode — a set
-    // rejected above never pays for them — and the scalar rtb route
-    // reads the primary lanes directly, so a one-shot verdict
-    // (`views == false`) can skip them entirely. A failed analysis
-    // leaves the view partial, which is fine: the admission states treat
-    // the SoA mirror as meaningful only while their cache is valid, and
-    // every rebuild goes through a full reload.
-    let scalar_rtb = variant == AmcVariant::RtbDm && soa.fast() && soa.len() <= RTA_SCALAR_MAX;
-    if !scalar_rtb {
-        soa.build_compact();
-    }
     hi_resp.resize(tasks.len(), None);
-    let ok = match variant {
-        AmcVariant::RtbDm => rtb_batched(soa, order, 0, lo_resp, |_| 0, hi_resp),
+    match variant {
+        AmcVariant::RtbDm => run_rtb(soa, order, 0, lo_resp, |_| 0, hi_resp),
         AmcVariant::Max => {
             let ctx = AmcContext {
                 tasks,
@@ -1692,13 +1405,7 @@ fn analyze_into(
             true
         }
         AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
-    };
-    if ok && views && scalar_rtb {
-        // The incremental states delta-update the criticality views on
-        // every probe, so a successful rebuild must leave them in place.
-        soa.build_compact();
     }
-    ok
 }
 
 /// DM insertion position of `cand` in the cached (sorted,
@@ -1752,7 +1459,7 @@ fn admit_incremental_into(
     for &i in &cache.order[..p] {
         lo_resp[i] = cache.lo_resp[i];
     }
-    if !lo_rta_batched(
+    if !run_lo_rta(
         soa,
         order,
         p,
@@ -1776,7 +1483,7 @@ fn admit_incremental_into(
         hi_resp[i] = cache.hi_resp[i];
     }
     match variant {
-        AmcVariant::RtbDm => rtb_batched(
+        AmcVariant::RtbDm => run_rtb(
             soa,
             order,
             soa.hc_rank_below(p),
@@ -1881,7 +1588,6 @@ impl AdmissionState for AmcState {
             let ok = analyze_into(
                 tasks,
                 self.variant,
-                true,
                 &mut self.soa,
                 streams,
                 hc,
@@ -1943,26 +1649,10 @@ impl AdmissionState for AmcState {
     }
 }
 
-/// The batched kernel's low-mode response times, indexed by task; `None`
-/// when some task misses its deadline in low mode. Must equal
-/// [`reference::lo_responses`] bit-identically (asserted by
-/// `tests/analysis_workspace.rs` and the `micro_tests` bench).
-#[doc(hidden)]
-// mclint: cold — equivalence-suite entry point; allocates caller-owned results once per call
-pub fn lo_responses_batched(ts: &TaskSet) -> Option<Vec<Time>> {
-    let order = dm_order(ts);
-    let mut lo = vec![Time::ZERO; ts.len()];
-    AnalysisWorkspace::with(|ws| {
-        ws.soa.load_primary(ts.as_slice(), &order);
-        lo_rta_batched(&ws.soa, &order, 0, |_| 0, &mut lo)
-    })
-    .then_some(lo)
-}
-
-/// The batched AMC-rtb analysis: `None` when low-mode RTA fails,
+/// The SoA-kernel AMC-rtb analysis: `None` when low-mode RTA fails,
 /// otherwise `(verdict, bounds)` where `bounds[i]` is the high-mode bound
 /// of HC task `i` **if its fixpoint was reached** (on a `false` verdict
-/// the kernel stops at the first infeasible block, so later tasks stay
+/// the kernel stops at the first infeasible task, so later tasks stay
 /// `None`). On a `true` verdict every HC bound must equal
 /// [`reference::amc_rtb_response`] bit-identically.
 #[doc(hidden)]
@@ -1974,10 +1664,10 @@ pub fn amc_rtb_bounds_batched(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)>
     let mut verdict = false;
     AnalysisWorkspace::with(|ws| {
         ws.soa.load(ts.as_slice(), &order);
-        if !lo_rta_batched(&ws.soa, &order, 0, |_| 0, &mut lo) {
+        if !run_lo_rta(&ws.soa, &order, 0, |_| 0, &mut lo) {
             return false;
         }
-        verdict = rtb_batched(&ws.soa, &order, 0, &lo, |_| 0, &mut hi);
+        verdict = run_rtb(&ws.soa, &order, 0, &lo, |_| 0, &mut hi);
         true
     })
     .then_some((verdict, hi))
@@ -2008,7 +1698,7 @@ pub mod reference {
     }
 
     /// The seed scalar low-mode response times, indexed by task; `None`
-    /// when some task misses its deadline in low mode. The batched kernel
+    /// when some task misses its deadline in low mode. The SoA kernel
     /// must reproduce these bit-identically.
     pub fn lo_responses(ts: &TaskSet) -> Option<Vec<Time>> {
         lo_rta_scalar(ts.as_slice(), &dm_order(ts))
@@ -2016,7 +1706,7 @@ pub mod reference {
 
     /// The seed scalar AMC-rtb high-mode bound of `task_index`; outer
     /// `None` when low-mode RTA fails, inner `None` when the fixpoint
-    /// exceeds the deadline. The batched kernel must reproduce this
+    /// exceeds the deadline. The SoA kernel must reproduce this
     /// bit-identically for every HC task.
     pub fn amc_rtb_response(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
         with_ctx(ts, |ctx| ctx.rtb_response_reference(ctx.pos_of(task_index)))
@@ -2615,7 +2305,6 @@ mod tests {
             Task::hi_constrained(1, big + 4, big, big, big + 2).unwrap(),
         ]);
         assert!(LoRta::compute(&ts).is_none());
-        assert!(lo_responses_batched(&ts).is_none());
         assert_eq!(reference::lo_responses(&ts), None);
         assert!(!AmcRtb::new().is_schedulable(&ts));
         assert!(!reference::amc_rtb_is_schedulable(&ts));
@@ -2629,7 +2318,7 @@ mod tests {
         assert!(AmcRtb::new().is_schedulable(&alone));
         assert!(AmcRtb::with_audsley().is_schedulable(&alone));
         assert_eq!(
-            lo_responses_batched(&alone),
+            LoRta::compute(&alone),
             Some(vec![Time::new(big)]),
             "lone near-max task's LO response is its own budget"
         );
@@ -2637,8 +2326,8 @@ mod tests {
 
     #[test]
     fn batched_rtb_matches_reference_on_grid() {
-        // Grid sweep: batched LO responses, rtb verdicts and rtb bounds
-        // must be bit-identical to the retained scalar reference.
+        // Grid sweep: the SoA kernels' LO responses, rtb verdicts and rtb
+        // bounds must be bit-identical to the retained seed reference.
         for ch in 3..=8u64 {
             for cl2 in 1..=4u64 {
                 for c3 in 1..=6u64 {
@@ -2648,13 +2337,13 @@ mod tests {
                         Task::lo(2, 15, c3).unwrap(),
                     ]);
                     assert_eq!(
-                        lo_responses_batched(&ts),
+                        LoRta::compute(&ts),
                         reference::lo_responses(&ts),
                         "LO responses diverged on {ts}"
                     );
                     let verdict = reference::amc_rtb_is_schedulable(&ts);
                     match amc_rtb_bounds_batched(&ts) {
-                        None => assert!(!verdict, "batched LO failed on rtb-feasible {ts}"),
+                        None => assert!(!verdict, "SoA LO failed on rtb-feasible {ts}"),
                         Some((v, bounds)) => {
                             assert_eq!(v, verdict, "rtb verdict diverged on {ts}");
                             if v {

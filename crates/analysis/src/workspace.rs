@@ -63,7 +63,7 @@
 //! [`SchedulabilityTest::admission_state_in`]: crate::SchedulabilityTest::admission_state_in
 //! [`IncrementalTest::new_state_in`]: crate::IncrementalTest::new_state_in
 
-use crate::amc::{AmcScratch, CandStream, HcSlot};
+use crate::amc::{AmcCache, CandStream, HcSlot};
 use crate::demand::DemandKernel;
 use crate::vdtune::Move;
 use mcsched_model::{Criticality, Task};
@@ -71,16 +71,16 @@ use std::cell::{RefCell, RefMut};
 use std::ops::Deref;
 use std::rc::Rc;
 
-/// Structure-of-arrays task view for the batched response-time kernels.
+/// Structure-of-arrays task view for the response-time kernels.
 ///
 /// One position per task, **highest priority first** (whatever priority
-/// order the caller loads). Four contiguous `u64` lanes
-/// (`wcet_lo` / `wcet_hi` / `period` / `deadline`) turn the RTA
+/// order the caller loads). Contiguous `u64` lanes (`wcet_lo` /
+/// `wcet_hi` / `period` / `inv_period` / `deadline`) turn the RTA
 /// interference sum into straight-line integer arithmetic over adjacent
 /// memory — no pointer-chasing through `Task` structs — and two
-/// *compacted* criticality views (`hc_*` / `lc_*`, each entry remembering
-/// its originating position) let the high-mode fixpoint iterate
-/// exclusively over the lanes that can actually move between iterations.
+/// increasing position lists (`hc_pos` / `lc_pos`) split the positions
+/// by criticality, so the high-mode fixpoint gathers exactly the lanes
+/// that can move between iterations without testing a flag per element.
 ///
 /// Maintained by delta under admission probes: [`SoaTasks::insert`]
 /// shifts the lanes (an `O(n)` memmove of plain integers) and
@@ -103,21 +103,9 @@ pub(crate) struct SoaTasks {
     pub(crate) deadline: Vec<u64>,
     /// Criticality per position (`true` = HC).
     pub(crate) hc: Vec<bool>,
-    /// Compacted HC view: `C^H` of the HC tasks in position order.
-    pub(crate) hc_wcet_hi: Vec<u64>,
-    /// Compacted HC view: `T` of the HC tasks in position order.
-    pub(crate) hc_period: Vec<u64>,
-    /// Compacted HC view: [`inv64`] reciprocal of `T`.
-    pub(crate) hc_inv_period: Vec<u64>,
-    /// Position of each compacted HC entry (strictly increasing).
+    /// Positions of the HC tasks (strictly increasing).
     pub(crate) hc_pos: Vec<usize>,
-    /// Compacted LC view: `C^L` of the LC tasks in position order.
-    pub(crate) lc_wcet_lo: Vec<u64>,
-    /// Compacted LC view: `T` of the LC tasks in position order.
-    pub(crate) lc_period: Vec<u64>,
-    /// Compacted LC view: [`inv64`] reciprocal of `T`.
-    pub(crate) lc_inv_period: Vec<u64>,
-    /// Position of each compacted LC entry (strictly increasing).
+    /// Positions of the LC tasks (strictly increasing).
     pub(crate) lc_pos: Vec<usize>,
     /// Loaded tasks failing the per-task half of the fast-kernel
     /// certificate (see [`SoaTasks::fast`]).
@@ -128,11 +116,6 @@ pub(crate) struct SoaTasks {
     fast_budget: u128,
 }
 
-/// The precomputed reciprocal `⌊2^64 / d⌋` (saturated for `d == 1`) used
-/// by the batched kernels' exact division-by-multiplication: for any
-/// `n < 2^64`, `hi64(n · inv64(d))` is `⌊n/d⌋` or `⌊n/d⌋ − 1`, and one
-/// multiply-compare fixup recovers the exact quotient (see `dc_inv` in
-/// `amc.rs` for the proof sketch).
 /// Per-task half of the fast-kernel certificate over raw lane values
 /// (see [`SoaTasks::fast`]): the bounds predicate and the exact
 /// worst-case interference charge `max(C^L, C^H)·⌈(2^32−1)/T⌉`.
@@ -146,6 +129,11 @@ fn cert_values(wl: u64, wh: u64, t: u64, d: u64, inv: u64) -> (bool, u128) {
     (true, wl.max(wh) as u128 * worst as u128)
 }
 
+/// The precomputed reciprocal `⌊2^64 / d⌋` (saturated for `d == 1`) used
+/// by the kernels' exact division-by-multiplication: for any
+/// `n < 2^64`, `hi64(n · inv64(d))` is `⌊n/d⌋` or `⌊n/d⌋ − 1`, and one
+/// multiply-compare fixup recovers the exact quotient (see `dc_inv` in
+/// `amc.rs` for the proof sketch).
 pub(crate) fn inv64(d: u64) -> u64 {
     if d == 1 {
         return u64::MAX;
@@ -209,7 +197,7 @@ impl SoaTasks {
         self.fast_budget -= b;
     }
 
-    /// Number of HC lanes in the compacted view.
+    /// Number of HC positions.
     pub(crate) fn hc_len(&self) -> usize {
         self.hc_pos.len()
     }
@@ -219,62 +207,23 @@ impl SoaTasks {
         self.hc[pos]
     }
 
-    /// Number of HC lanes at positions strictly above `pos` — also the
-    /// compacted-HC rank of `pos` itself when `pos` holds an HC task.
+    /// Number of HC positions strictly above `pos` — also the index of
+    /// `pos` itself in [`SoaTasks::hc_pos`] when it holds an HC task.
     pub(crate) fn hc_rank_below(&self, pos: usize) -> usize {
         self.hc_pos.partition_point(|&x| x < pos)
     }
 
-    /// Empties the view, keeping the buffers for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.wcet_lo.clear();
-        self.wcet_hi.clear();
-        self.period.clear();
-        self.inv_period.clear();
-        self.deadline.clear();
-        self.hc.clear();
-        self.hc_wcet_hi.clear();
-        self.hc_period.clear();
-        self.hc_inv_period.clear();
-        self.hc_pos.clear();
-        self.lc_wcet_lo.clear();
-        self.lc_period.clear();
-        self.lc_inv_period.clear();
-        self.lc_pos.clear();
-        self.slow_tasks = 0;
-        self.fast_budget = 0;
-    }
-
     /// Rebuilds the view as `tasks[order[0]], tasks[order[1]], …`.
     ///
-    /// Lane-at-a-time: each output vector is filled in one contiguous
-    /// `extend` pass (the per-set build cost is on the one-shot hot path,
-    /// paid even by sets the analysis rejects at the first task).
+    /// One fused pass: each task is read once and scattered into every
+    /// lane in place (resize + overwrite, no clear-and-extend) and onto
+    /// its criticality's position list, with the fast-kernel certificate
+    /// accumulated on the fly — the per-set build cost is on the
+    /// one-shot hot path, paid even by sets the analysis rejects at the
+    /// first task.
     pub(crate) fn load(&mut self, tasks: &[Task], order: &[usize]) {
-        self.load_primary(tasks, order);
-        self.build_compact();
-    }
-
-    /// The primary-lane half of [`SoaTasks::load`]: everything the
-    /// low-mode kernel reads. The one-shot analysis defers
-    /// [`SoaTasks::build_compact`] until low mode actually passes, so a
-    /// set rejected at the first phase never pays for the criticality
-    /// views.
-    ///
-    /// One fused pass: each task is read once and scattered into all six
-    /// lanes in place (resize + overwrite, no clear-and-extend), with the
-    /// fast-kernel certificate accumulated on the fly — the per-set build
-    /// cost is on the one-shot hot path, paid even by sets the analysis
-    /// rejects at the first task.
-    pub(crate) fn load_primary(&mut self, tasks: &[Task], order: &[usize]) {
         let n = order.len();
-        self.hc_wcet_hi.clear();
-        self.hc_period.clear();
-        self.hc_inv_period.clear();
         self.hc_pos.clear();
-        self.lc_wcet_lo.clear();
-        self.lc_period.clear();
-        self.lc_inv_period.clear();
         self.lc_pos.clear();
         self.wcet_lo.resize(n, 0);
         self.wcet_hi.resize(n, 0);
@@ -292,7 +241,7 @@ impl SoaTasks {
             .zip(&mut self.inv_period)
             .zip(&mut self.deadline)
             .zip(&mut self.hc);
-        for (&i, lane) in order.iter().zip(lanes) {
+        for (pos, (&i, lane)) in order.iter().zip(lanes).enumerate() {
             let (((((wl, wh), per), inv), dl), hc) = lane;
             let t = &tasks[i];
             *wl = t.wcet_lo().as_ticks();
@@ -301,60 +250,17 @@ impl SoaTasks {
             *inv = inv64(*per);
             *dl = t.deadline().as_ticks();
             *hc = t.criticality() == Criticality::High;
+            if *hc {
+                self.hc_pos.push(pos);
+            } else {
+                self.lc_pos.push(pos);
+            }
             let (ok, b) = cert_values(*wl, *wh, *per, *dl, *inv);
             slow += usize::from(!ok);
             budget = budget.saturating_add(b);
         }
         self.slow_tasks = slow;
         self.fast_budget = budget;
-    }
-
-    /// The criticality-view half of [`SoaTasks::load`]; requires the
-    /// matching [`SoaTasks::load_primary`] to have run (the views are
-    /// compacted from the primary lanes, so the periods' reciprocals are
-    /// copied rather than re-divided).
-    pub(crate) fn build_compact(&mut self) {
-        for pos in 0..self.len() {
-            self.push_compact(pos);
-        }
-    }
-
-    /// Rebuilds the view in slice order (`order = 0..n`).
-    pub(crate) fn load_seq(&mut self, tasks: &[Task]) {
-        self.clear();
-        self.wcet_lo
-            .extend(tasks.iter().map(|t| t.wcet_lo().as_ticks()));
-        self.wcet_hi
-            .extend(tasks.iter().map(|t| t.wcet_hi().as_ticks()));
-        self.period
-            .extend(tasks.iter().map(|t| t.period().as_ticks()));
-        self.inv_period
-            .extend(self.period.iter().map(|&t| inv64(t)));
-        self.deadline
-            .extend(tasks.iter().map(|t| t.deadline().as_ticks()));
-        self.hc
-            .extend(tasks.iter().map(|t| t.criticality() == Criticality::High));
-        for pos in 0..tasks.len() {
-            self.cert_add(pos);
-            self.push_compact(pos);
-        }
-    }
-
-    /// Appends position `pos`'s compacted criticality-view entry from the
-    /// primary lanes (positions must be appended in increasing order,
-    /// after the primary lanes are filled).
-    fn push_compact(&mut self, pos: usize) {
-        if self.hc[pos] {
-            self.hc_wcet_hi.push(self.wcet_hi[pos]);
-            self.hc_period.push(self.period[pos]);
-            self.hc_inv_period.push(self.inv_period[pos]);
-            self.hc_pos.push(pos);
-        } else {
-            self.lc_wcet_lo.push(self.wcet_lo[pos]);
-            self.lc_period.push(self.period[pos]);
-            self.lc_inv_period.push(self.inv_period[pos]);
-            self.lc_pos.push(pos);
-        }
     }
 
     /// Inserts `t` at priority position `pos`, shifting lower priorities
@@ -366,35 +272,20 @@ impl SoaTasks {
         self.period.insert(pos, t.period().as_ticks());
         self.inv_period.insert(pos, inv64(t.period().as_ticks()));
         self.deadline.insert(pos, t.deadline().as_ticks());
+        let hc = t.criticality() == Criticality::High;
+        self.hc.insert(pos, hc);
         self.cert_add(pos);
-        for x in &mut self.hc_pos {
+        for x in self.hc_pos.iter_mut().chain(&mut self.lc_pos) {
             if *x >= pos {
                 *x += 1;
             }
         }
-        for x in &mut self.lc_pos {
-            if *x >= pos {
-                *x += 1;
-            }
-        }
-        match t.criticality() {
-            Criticality::High => {
-                self.hc.insert(pos, true);
-                let rank = self.hc_pos.partition_point(|&x| x < pos);
-                self.hc_wcet_hi.insert(rank, t.wcet_hi().as_ticks());
-                self.hc_period.insert(rank, t.period().as_ticks());
-                self.hc_inv_period.insert(rank, self.inv_period[pos]);
-                self.hc_pos.insert(rank, pos);
-            }
-            Criticality::Low => {
-                self.hc.insert(pos, false);
-                let rank = self.lc_pos.partition_point(|&x| x < pos);
-                self.lc_wcet_lo.insert(rank, t.wcet_lo().as_ticks());
-                self.lc_period.insert(rank, t.period().as_ticks());
-                self.lc_inv_period.insert(rank, self.inv_period[pos]);
-                self.lc_pos.insert(rank, pos);
-            }
-        }
+        let list = if hc {
+            &mut self.hc_pos
+        } else {
+            &mut self.lc_pos
+        };
+        list.insert(list.partition_point(|&x| x < pos), pos);
     }
 
     /// Removes the task at priority position `pos` (undoes
@@ -406,25 +297,13 @@ impl SoaTasks {
         self.period.remove(pos);
         self.inv_period.remove(pos);
         self.deadline.remove(pos);
-        if self.hc.remove(pos) {
-            let rank = self.hc_pos.partition_point(|&x| x < pos);
-            self.hc_wcet_hi.remove(rank);
-            self.hc_period.remove(rank);
-            self.hc_inv_period.remove(rank);
-            self.hc_pos.remove(rank);
+        let list = if self.hc.remove(pos) {
+            &mut self.hc_pos
         } else {
-            let rank = self.lc_pos.partition_point(|&x| x < pos);
-            self.lc_wcet_lo.remove(rank);
-            self.lc_period.remove(rank);
-            self.lc_inv_period.remove(rank);
-            self.lc_pos.remove(rank);
-        }
-        for x in &mut self.hc_pos {
-            if *x > pos {
-                *x -= 1;
-            }
-        }
-        for x in &mut self.lc_pos {
+            &mut self.lc_pos
+        };
+        list.remove(list.partition_point(|&x| x < pos));
+        for x in self.hc_pos.iter_mut().chain(&mut self.lc_pos) {
             if *x > pos {
                 *x -= 1;
             }
@@ -531,6 +410,17 @@ impl DemandSoa {
     /// Number of HC lanes in the compacted view.
     pub(crate) fn hc_len(&self) -> usize {
         self.hc_pos.len()
+    }
+
+    /// The `(C^L, V, T, inv64(T))` lanes of position `pos` — the inputs
+    /// of one task's `dbf_LO` term.
+    pub(crate) fn lo_terms(&self, pos: usize) -> (u64, u64, u64, u64) {
+        (
+            self.c_lo[pos],
+            self.vd[pos],
+            self.period[pos],
+            self.inv_period[pos],
+        )
     }
 
     /// Whether the loaded assignment certifies the *fast* (unguarded)
@@ -783,9 +673,9 @@ pub struct AnalysisWorkspace {
     pub(crate) hc: Vec<HcSlot>,
     /// The one-shot AMC analysis (order / responses) — the workspace path
     /// runs exactly the incremental layer's `analyze_into` over it.
-    pub(crate) amc: AmcScratch,
-    /// SoA lane view for the batched response-time kernels (the one-shot
-    /// and Audsley paths; the incremental `AmcState`s keep their own
+    pub(crate) amc: AmcCache,
+    /// SoA lane view for the response-time kernels (the one-shot and
+    /// Audsley paths; the incremental `AmcState`s keep their own
     /// per-processor view mirroring the committed cache).
     pub(crate) soa: SoaTasks,
     /// The incremental demand kernel: the virtual-deadline assignment
@@ -903,9 +793,14 @@ mod tests {
             Task::hi(2, 25, 3, 6).unwrap(),
             Task::lo(3, 12, 1).unwrap(),
         ];
+        (tasks.clone(), loaded_in_slice_order(&tasks))
+    }
+
+    fn loaded_in_slice_order(tasks: &[Task]) -> SoaTasks {
+        let order: Vec<usize> = (0..tasks.len()).collect();
         let mut soa = SoaTasks::default();
-        soa.load_seq(&tasks);
-        (tasks, soa)
+        soa.load(tasks, &order);
+        soa
     }
 
     /// Structural invariants a correctly maintained view always satisfies.
@@ -919,21 +814,15 @@ mod tests {
             assert_eq!(soa.deadline[pos], t.deadline().as_ticks());
             assert_eq!(soa.is_hc(pos), t.criticality() == Criticality::High);
         }
-        // Compacted views cover exactly the HC / LC positions, in order.
+        // The position lists cover exactly the HC / LC positions, in order.
         let hc: Vec<usize> = (0..tasks.len()).filter(|&p| soa.hc[p]).collect();
         let lc: Vec<usize> = (0..tasks.len()).filter(|&p| !soa.hc[p]).collect();
         assert_eq!(soa.hc_pos, hc);
         assert_eq!(soa.lc_pos, lc);
-        for (rank, &p) in soa.hc_pos.iter().enumerate() {
-            assert_eq!(soa.hc_wcet_hi[rank], tasks[p].wcet_hi().as_ticks());
-            assert_eq!(soa.hc_period[rank], tasks[p].period().as_ticks());
-            assert_eq!(soa.hc_inv_period[rank], inv64(tasks[p].period().as_ticks()));
-        }
-        for (rank, &p) in soa.lc_pos.iter().enumerate() {
-            assert_eq!(soa.lc_wcet_lo[rank], tasks[p].wcet_lo().as_ticks());
-            assert_eq!(soa.lc_period[rank], tasks[p].period().as_ticks());
-            assert_eq!(soa.lc_inv_period[rank], inv64(tasks[p].period().as_ticks()));
-        }
+        // The reversible certificate equals a fresh accumulation.
+        let fresh = loaded_in_slice_order(tasks);
+        assert_eq!(soa.slow_tasks, fresh.slow_tasks);
+        assert_eq!(soa.fast_budget, fresh.fast_budget);
     }
 
     #[test]
@@ -979,17 +868,15 @@ mod tests {
         soa.insert(2, &cand);
         let mut rebuilt: Vec<Task> = tasks.clone();
         rebuilt.insert(2, cand);
-        let mut fresh = SoaTasks::default();
-        fresh.load_seq(&rebuilt);
+        let fresh = loaded_in_slice_order(&rebuilt);
         assert_eq!(soa.wcet_lo, fresh.wcet_lo);
         assert_eq!(soa.wcet_hi, fresh.wcet_hi);
         assert_eq!(soa.period, fresh.period);
+        assert_eq!(soa.inv_period, fresh.inv_period);
         assert_eq!(soa.deadline, fresh.deadline);
         assert_eq!(soa.hc, fresh.hc);
         assert_eq!(soa.hc_pos, fresh.hc_pos);
         assert_eq!(soa.lc_pos, fresh.lc_pos);
-        assert_eq!(soa.hc_wcet_hi, fresh.hc_wcet_hi);
-        assert_eq!(soa.lc_wcet_lo, fresh.lc_wcet_lo);
     }
 
     fn demand_fixture() -> (Vec<VdTask>, DemandSoa) {

@@ -14,8 +14,9 @@
 //! * `amc_rtb_batched` — AMC-rtb through the SoA lane kernels: the
 //!   retained scalar seed (per-task `div_ceil` recurrences over `&[Task]`)
 //!   vs the workspace path (fast-kernel certificate, reciprocal division,
-//!   small-set scalar route / multi-block Jacobi lanes), verdicts asserted
-//!   bit-identical before any measurement;
+//!   one task-at-a-time kernel per recurrence over the lanes) on
+//!   admission-sized and n ≥ 20 shapes, verdicts asserted bit-identical
+//!   before any measurement;
 //! * `vdtune_kernel` — the EY / ECDF tuners: the retained seed stack
 //!   (flat per-call QPA from the busy-window bound) vs the incremental
 //!   demand kernel (warm-resumed fixpoints + memoised violation
@@ -133,9 +134,9 @@ fn bench_amcmax_streaming(c: &mut Criterion) {
 }
 
 fn bench_amc_rtb_batched(c: &mut Criterion) {
-    // Two corpus shapes, matching the kernel's two routes: admission-sized
-    // sets (n ≤ 10, the small-set scalar route over SoA lanes) and wide
-    // sets (n ≥ 20, multiple 8-lane Jacobi blocks).
+    // Two corpus shapes: admission-sized sets (n ≤ 10) and wide sets
+    // (n ≥ 20). The shape IDs name the routes an earlier kernel took and
+    // are kept so measurements stay comparable across revisions.
     let small = uniprocessor_corpus(2, 256, BENCH_SEED);
     let wide = large_sets();
     let test = AmcRtb::new();
@@ -144,7 +145,7 @@ fn bench_amc_rtb_batched(c: &mut Criterion) {
         assert_eq!(
             test.is_schedulable_in(ts, &mut ws),
             reference::amc_rtb_is_schedulable(ts),
-            "batched/seed divergence on an n={} set",
+            "workspace/seed divergence on an n={} set",
             ts.len()
         );
     }

@@ -7,18 +7,20 @@
 //! * every test's `is_schedulable_in` (one reused workspace) agrees with
 //!   `is_schedulable` on every set;
 //! * both hold across unconstrained proptest sets *and* a deterministic
-//!   generator-shaped corpus.
+//!   generator-shaped corpus;
+//! * Audsley's priority assignment for AMC-rtb accepts exactly the sets
+//!   some priority order makes rtb-feasible (a brute-force oracle).
 
-use mcsched::analysis::amc::{amc_rtb_bounds_batched, lo_responses_batched, reference};
+use mcsched::analysis::amc::{amc_rtb_bounds_batched, reference};
 use mcsched::analysis::vdtune::reference as vd_reference;
 use mcsched::analysis::{
-    AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, SchedulabilityTest, WorkspaceRef,
+    AmcMax, AmcRtb, AnalysisWorkspace, Ecdf, EdfVd, Ey, LoRta, SchedulabilityTest, WorkspaceRef,
 };
 use mcsched::gen::{DeadlineModel, GridPoint, TaskSetSpec};
 use mcsched::model::{Criticality, Task, TaskSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// An arbitrary valid task: period 2..=60, budgets inside it, optional
 /// criticality/constrained deadline.
@@ -50,21 +52,21 @@ fn arb_taskset() -> impl Strategy<Value = TaskSet> {
     })
 }
 
-/// Asserts the batched SoA kernels reproduce the seed responses **bit
-/// for bit**: the low-mode vector, the AMC-rtb verdict, and (on an
-/// accepting verdict) every HC task's high-mode bound.
+/// Asserts the SoA kernels reproduce the seed responses **bit for
+/// bit**: the low-mode vector, the AMC-rtb verdict, and (on an accepting
+/// verdict) every HC task's high-mode bound.
 fn assert_batched_bounds_equivalent(ts: &TaskSet) {
-    let lo = lo_responses_batched(ts);
+    let lo = LoRta::compute(ts);
     assert_eq!(
         lo,
         reference::lo_responses(ts),
-        "batched low-mode responses diverged on {ts}"
+        "SoA low-mode responses diverged on {ts}"
     );
     let rtb = amc_rtb_bounds_batched(ts);
     assert_eq!(
         rtb.is_some(),
         lo.is_some(),
-        "batched rtb ran without a low-mode pass on {ts}"
+        "SoA rtb ran without a low-mode pass on {ts}"
     );
     let Some((verdict, bounds)) = rtb else {
         return;
@@ -72,7 +74,7 @@ fn assert_batched_bounds_equivalent(ts: &TaskSet) {
     assert_eq!(
         verdict,
         reference::amc_rtb_is_schedulable(ts),
-        "batched AMC-rtb verdict diverged on {ts}"
+        "SoA AMC-rtb verdict diverged on {ts}"
     );
     if !verdict {
         // On a reject the kernel stops at the first infeasible task;
@@ -245,7 +247,7 @@ fn seeded_corpus_streaming_equivalence() {
 }
 
 /// Values past the fast-kernel certificate (wcets and periods at the
-/// 2^62–2^63 scale) must take the guarded batched kernels and still
+/// 2^62–2^63 scale) must take the guarded kernels and still
 /// reproduce the seed bounds bit-identically — saturation in the guarded
 /// path and the seed's overflow-checked fixpoint reject identically.
 #[test]
@@ -315,4 +317,120 @@ fn near_max_periods_run_end_to_end() {
         assert!(state.try_admit(t));
         state.commit(*t);
     }
+}
+
+/// Whether priority order `order` (highest first) passes AMC-rtb:
+/// low-mode RTA through [`LoRta::compute_with_order`], then every HC
+/// task's rtb recurrence
+/// `R = C^H_i + Σ_{k∈hpH} ⌈R/T_k⌉·C^H_k + Σ_{j∈hpL} ⌈R^LO_i/T_j⌉·C^L_j`
+/// by plain scalar iteration from `C^H_i`.
+fn rtb_passes_under(ts: &TaskSet, order: &[usize]) -> bool {
+    let Some(lo) = LoRta::compute_with_order(ts, order) else {
+        return false;
+    };
+    let tasks = ts.as_slice();
+    for (pos, &i) in order.iter().enumerate() {
+        let ti = &tasks[i];
+        if ti.criticality() != Criticality::High {
+            continue;
+        }
+        let (hp_hi, hp_lo): (Vec<&Task>, Vec<&Task>) = order[..pos]
+            .iter()
+            .map(|&j| &tasks[j])
+            .partition(|t| t.criticality() == Criticality::High);
+        let r_lo = lo[i].as_ticks();
+        let lc: u64 = hp_lo
+            .iter()
+            .map(|t| r_lo.div_ceil(t.period().as_ticks()) * t.wcet_lo().as_ticks())
+            .sum();
+        let mut r = ti.wcet_hi().as_ticks();
+        loop {
+            let hc: u64 = hp_hi
+                .iter()
+                .map(|t| r.div_ceil(t.period().as_ticks()) * t.wcet_hi().as_ticks())
+                .sum();
+            let next = ti.wcet_hi().as_ticks() + lc + hc;
+            if next > ti.deadline().as_ticks() {
+                return false;
+            }
+            if next == r {
+                break;
+            }
+            r = next;
+        }
+    }
+    true
+}
+
+/// Every permutation of `0..n` (Heap's algorithm).
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if k <= 1 {
+            out.push(a.clone());
+            return;
+        }
+        for i in 0..k {
+            heap(k - 1, a, out);
+            a.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+    }
+    let mut out = Vec::new();
+    heap(n, &mut (0..n).collect(), &mut out);
+    out
+}
+
+/// Audsley's OPA for AMC-rtb against a brute-force oracle: a set is
+/// accepted iff **some** priority order passes the rtb analysis, and the
+/// order `audsley_order` returns is itself such a witness. Seeded sets of
+/// 2–6 tasks with constrained deadlines, loaded near the feasibility edge
+/// so both verdicts occur (and some sets need a non-DM order).
+#[test]
+fn audsley_matches_brute_force_opa() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let (mut accepted, mut rejected, mut beyond_dm) = (0usize, 0usize, 0usize);
+    for _ in 0..300 {
+        let n = rng.random_range(2..=6usize);
+        let tasks: Vec<Task> = (0..n as u32)
+            .map(|id| {
+                let period = rng.random_range(4..=40u64);
+                let c_lo = rng.random_range(1..=(period / n as u64).max(1));
+                let d = rng.random_range(c_lo..=period);
+                if rng.random_bool(0.5) {
+                    let c_hi = rng.random_range(c_lo..=d);
+                    Task::hi_constrained(id, period, c_lo, c_hi, d).expect("valid")
+                } else {
+                    Task::lo_constrained(id, period, c_lo, d).expect("valid")
+                }
+            })
+            .collect();
+        let ts = TaskSet::try_from_tasks(tasks).expect("distinct ids");
+        let feasible = permutations(n)
+            .iter()
+            .any(|order| rtb_passes_under(&ts, order));
+        assert_eq!(
+            AmcRtb::with_audsley().is_schedulable(&ts),
+            feasible,
+            "OPA verdict diverged from the brute-force oracle on {ts}"
+        );
+        match AmcRtb::audsley_order(&ts) {
+            Some(order) => {
+                assert!(
+                    rtb_passes_under(&ts, &order),
+                    "Audsley witness {order:?} fails the rtb analysis on {ts}"
+                );
+                accepted += 1;
+                beyond_dm += usize::from(!AmcRtb::new().is_schedulable(&ts));
+            }
+            None => {
+                assert!(!feasible, "Audsley found no order for feasible {ts}");
+                rejected += 1;
+            }
+        }
+    }
+    assert!(accepted >= 50, "too few accepts: {accepted}");
+    assert!(rejected >= 50, "too few rejects: {rejected}");
+    assert!(
+        beyond_dm >= 5,
+        "too few sets needed a non-DM order: {beyond_dm}"
+    );
 }

@@ -92,12 +92,6 @@ fn assert_checks_equivalent(tasks: &[VdTask]) {
         dbf::reference::check_hi_mode(tasks),
         "hi-mode check diverged on {tasks:?}"
     );
-    let mut scratch = Vec::new();
-    assert_eq!(
-        dbf::check_hi_mode_in(tasks, &mut scratch),
-        dbf::check_hi_mode(tasks),
-        "legacy scratch entry point diverged on {tasks:?}"
-    );
 }
 
 /// Asserts kernel-backed EY/ECDF verdicts and tuned assignments equal the
