@@ -24,29 +24,43 @@
 //!   frozen at `(⌊s/Tj⌋+1)·C^L_j`, and of the `⌈R/Tk⌉` hp-HC jobs those
 //!   whose deadlines precede `s` — `M(k,s) = (⌊(s−Dk)/Tk⌋+1)₊` of them —
 //!   must already have completed and are charged at `C^L_k`, the rest at
-//!   `C^H_k`. The final bound takes the best of AMC-max and AMC-rtb, so
-//!   AMC-max dominates AMC-rtb by construction (as published).
+//!   `C^H_k`.
+//!
+//! # AMC-max dominates AMC-rtb
+//!
+//! The published bound is `min(max_s R(s), R^rtb)`, but the `min` never
+//! binds, so the walk returns `max_s R(s)` alone. At every `s < R^LO_i`
+//! each per-instant interference term is pointwise at most its rtb term:
+//! LC `(⌊s/Tj⌋+1)·C^L_j ≤ ⌈R^LO_i/Tj⌉·C^L_j` as `s ≤ R^LO_i − 1`, and HC
+//! `C^L_k·M + C^H_k·(n−M) ≤ C^H_k·n` as every [`Task`] has `C^L ≤ C^H`.
+//! Saturating sums and products are monotone, so every per-instant least
+//! fixed point is at most the rtb one when that exists (when it does not,
+//! the seed returned the walk's result anyway). The seed [`mod@reference`]
+//! bound keeps the `min`, so the `amc_max_bound_streamed == amc_max_bound`
+//! equivalence suites check this argument.
 //!
 //! # Lane evaluation
 //!
-//! The LO-mode and rtb fixpoints on the hot path do not chase `tasks[j]`
-//! through `Task` structs: they run over a structure-of-arrays view
-//! (`SoaTasks` in [`crate::workspace`]) holding one contiguous `u64` lane
-//! per parameter (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the
-//! periods' reciprocals) in priority order, and two increasing position
-//! lists splitting the positions by criticality. Each recurrence has one
-//! kernel (`lo_rta` / `rtb`) that iterates one task's fixpoint at a time,
+//! The fixpoints on the hot path do not chase `tasks[j]` through `Task`
+//! structs: they run over a structure-of-arrays view (`SoaTasks` in
+//! [`crate::workspace`]) holding one contiguous `u64` lane per parameter
+//! (`wcet_lo` / `wcet_hi` / `period` / `deadline`, plus the periods'
+//! reciprocals) in priority order, and two increasing position lists
+//! splitting the positions by criticality. Each analysis has one kernel
+//! (`lo_rta` / `rtb` / `max_bound`) that handles one task at a time,
 //! monomorphised once on the set's fast-kernel certificate: certified
 //! sets run plain arithmetic and divide by one widening multiply; the
 //! rest run the saturating, exactly-fixed-up route. The rtb kernel
 //! hoists the LC interference term `Σ_{j∈hpL} ⌈R^LO_i/Tj⌉·C^L_j` out of
 //! the loop (it depends only on the already-fixed low-mode response) and
-//! then gathers only the hp-HC lanes through the HC position list.
+//! then gathers only the hp-HC lanes through the HC position list; the
+//! AMC-max walk reads its interferers through the same two lists.
 //!
 //! # Seeding soundness
 //!
-//! Every kernel fixpoint is seeded at
-//! `max(C_i, cached bound, C_i + Σ_{j∈hp} C_j)`:
+//! Every `lo_rta` / `rtb` fixpoint is seeded at
+//! `max(C_i, cached bound, C_i + Σ_{j∈hp} C_j)` (the AMC-max walk starts
+//! each per-instant fixpoint at `C^H_i`, as the seed does):
 //!
 //! * the *cached bound* is the task's response before the probe's
 //!   candidate was inserted — interference only grows when the
@@ -75,10 +89,6 @@ pub(crate) fn dm_order(ts: &TaskSet) -> Vec<usize> {
     idx
 }
 
-/// [`dm_order`] into a caller-supplied buffer (cleared first), over a raw
-/// task slice — the incremental states and the workspace-backed one-shot
-/// path analyse `committed + candidate` unions without materialising a
-/// `TaskSet` or allocating the index vector.
 /// Sorts 8 keys with the optimal 19-comparator network (Knuth, TAOCP
 /// vol. 3, Fig. 49); correctness is pinned by the exhaustive 0-1
 /// principle test below.
@@ -110,6 +120,10 @@ fn cas_sort8<T: Ord>(keys: &mut [T; 8]) {
     }
 }
 
+/// [`dm_order`] into a caller-supplied buffer (cleared first), over a raw
+/// task slice — the incremental states and the workspace-backed one-shot
+/// path order task slices without materialising a `TaskSet` or
+/// allocating the index vector.
 fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
     idx.clear();
     let n = tasks.len();
@@ -165,46 +179,6 @@ fn dm_order_into(tasks: &[Task], idx: &mut Vec<usize>) {
             .cmp(&tasks[b].deadline())
             .then_with(|| tasks[a].id().cmp(&tasks[b].id()))
     });
-}
-
-/// Iterates the standard RTA fixpoint `R = wcet + interference(R)`,
-/// bailing out as soon as `R` exceeds `deadline`.
-fn fixpoint(wcet: Time, deadline: Time, interference: impl Fn(Time) -> Time) -> Option<Time> {
-    fixpoint_from(wcet, wcet, deadline, interference)
-}
-
-/// [`fixpoint`] warm-started at `start`.
-///
-/// Exactness: for a monotone interference function whose least fixed point
-/// is `R*`, Kleene iteration from any `start ≤ R*` with
-/// `wcet + interference(start) ≥ start` converges to the same `R*` (the
-/// iterates stay monotone nondecreasing and bounded by `R*`). The
-/// incremental AMC state warm-starts from the response computed *before* a
-/// task was added — interference only grows when the higher-priority set
-/// grows, so the old response is such a valid lower bound and the returned
-/// fixed point (and verdict) is identical to a cold start, only cheaper.
-///
-/// The `wcet + interference` accumulation saturates: a mathematically
-/// overflowing response also exceeds every `deadline < u64::MAX`, so the
-/// saturated value fails the deadline test just the same instead of
-/// wrapping (or panicking) near `Time::MAX`.
-fn fixpoint_from(
-    start: Time,
-    wcet: Time,
-    deadline: Time,
-    interference: impl Fn(Time) -> Time,
-) -> Option<Time> {
-    let mut r = start.max(wcet);
-    loop {
-        let next = wcet.saturating_add(interference(r));
-        if next > deadline {
-            return None;
-        }
-        if next == r {
-            return Some(r);
-        }
-        r = next;
-    }
 }
 
 /// `⌈a / b⌉` over raw ticks, without the `(a + b − 1) / b` overflow
@@ -307,17 +281,32 @@ fn add<const FAST: bool>(a: u64, b: u64) -> u64 {
     }
 }
 
-/// One interference term `c·⌈r/T⌉` in the kernel arithmetic, with
-/// `m = inv64(T)`: the no-fixup reciprocal ceiling [`dc_fast`] with a
-/// plain product under the certificate, the exact [`dc_inv`] with a
-/// saturating product otherwise.
+/// `a · b` in the kernel arithmetic, plain or saturating as [`add`].
+#[inline(always)]
+fn mul<const FAST: bool>(a: u64, b: u64) -> u64 {
+    if FAST {
+        a * b
+    } else {
+        a.saturating_mul(b)
+    }
+}
+
+/// The job count `⌈r/T⌉` in the kernel arithmetic, with `m = inv64(T)`:
+/// the no-fixup reciprocal ceiling [`dc_fast`] under the certificate,
+/// the exact [`dc_inv`] otherwise.
+#[inline(always)]
+fn jobs<const FAST: bool>(r: u64, t: u64, m: u64) -> u64 {
+    if FAST {
+        dc_fast(r, m.wrapping_add(1))
+    } else {
+        dc_inv(r, t, m)
+    }
+}
+
+/// One interference term `c·⌈r/T⌉` in the kernel arithmetic.
 #[inline(always)]
 fn charge<const FAST: bool>(c: u64, r: u64, t: u64, m: u64) -> u64 {
-    if FAST {
-        c * dc_fast(r, m.wrapping_add(1))
-    } else {
-        c.saturating_mul(dc_inv(r, t, m))
-    }
+    mul::<FAST>(c, jobs::<FAST>(r, t, m))
 }
 
 /// Low-mode RTA over the SoA lanes for positions `from..`, one task at a
@@ -469,6 +458,273 @@ fn run_rtb(
     }
 }
 
+/// One step sequence of a single interference term in the streaming
+/// AMC-max candidate walk: fires at `next`, `next + stride`, … until the
+/// step point reaches the task's low-mode response time (stepping is
+/// saturating, see [`for_each_candidate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CandStream {
+    /// The next step instant (`u64::MAX`-saturated once exhausted).
+    next: u64,
+    /// Distance between steps (the interferer's period).
+    stride: u64,
+    /// Steps fired so far — the term's current job count.
+    count: u64,
+    /// Which running quantity a fire updates.
+    kind: StreamKind,
+}
+
+/// What a [`CandStream`] fire contributes.
+#[derive(Debug, Clone, Copy)]
+enum StreamKind {
+    /// LC interferer: a fire freezes one more `C^L` job into the LC sum.
+    Lc {
+        /// The interferer's `C^L`.
+        cost: u64,
+    },
+    /// HC interferer bound (deadline- or release-based): a fire raises the
+    /// completed-job bound `M(k, s)` of the slot.
+    Hc {
+        /// Index into the walk's [`HcSlot`] array.
+        slot: usize,
+    },
+}
+
+/// Per-hp-HC-task state of the streaming AMC-max walk: the interferer's
+/// lane position plus its current completed-job bound `M(k, s)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HcSlot {
+    /// The interferer's position in the [`SoaTasks`] lanes.
+    lane: usize,
+    /// `max(by_deadline(s), by_release(s))` at the walk's current instant.
+    m: u64,
+}
+
+/// Calls `f` on every candidate switch instant of the task at lane
+/// position `p` (with `q` HC positions above it and low-mode response
+/// `r_lo`), in strictly increasing order with coinciding steps merged —
+/// exactly the sorted-deduplicated set `{0} ∪ {step points < R^LO_i}`
+/// the seed implementation materialised. As in [`rtb`], the interferers
+/// are the lanes `lc_pos[..p − q]` and `hc_pos[..q]`.
+///
+/// `f` receives the instant `s`, the frozen LC interference
+/// `Σ_{j∈hpL} (⌊s/Tj⌋+1)·C^L_j` and the hp-HC slots with their
+/// completed-job bounds `M(k, s)` up to date; a `None` from `f` aborts
+/// the walk with `None`.
+fn for_each_candidate(
+    soa: &SoaTasks,
+    p: usize,
+    q: usize,
+    r_lo: u64,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+    mut f: impl FnMut(u64, u64, &[HcSlot]) -> Option<()>,
+) -> Option<()> {
+    streams.clear();
+    slots.clear();
+    let mut lc = 0u64;
+    for &j in &soa.lc_pos[..p - q] {
+        // (⌊s/T⌋+1)·C^L: one job at s = 0, stepping at every multiple
+        // of T.
+        let cost = soa.wcet_lo[j];
+        lc = lc.saturating_add(cost);
+        streams.push(CandStream {
+            next: soa.period[j],
+            stride: soa.period[j],
+            count: 0,
+            kind: StreamKind::Lc { cost },
+        });
+    }
+    for &j in &soa.hc_pos[..q] {
+        // M(k, s) = max(by_deadline, by_release) steps at D + a·T
+        // (deadline bound) and at multiples of T (release bound).
+        let slot = slots.len();
+        slots.push(HcSlot { lane: j, m: 0 });
+        for next in [soa.deadline[j], soa.period[j]] {
+            streams.push(CandStream {
+                next,
+                stride: soa.period[j],
+                count: 0,
+                kind: StreamKind::Hc { slot },
+            });
+        }
+    }
+    // s = 0 is always a candidate.
+    f(0, lc, slots)?;
+    loop {
+        // k-way merge: the earliest pending step strictly below R^LO.
+        let mut s = r_lo;
+        for stream in streams.iter() {
+            if stream.next < s {
+                s = stream.next;
+            }
+        }
+        if s >= r_lo {
+            return Some(());
+        }
+        // Fire every stream stepping at s (coinciding steps collapse
+        // into the one candidate, replacing the seed path's dedup).
+        for stream in streams.iter_mut() {
+            if stream.next != s {
+                continue;
+            }
+            stream.count += 1;
+            match stream.kind {
+                // No overflow: the LC sum at any s < R^LO is at most
+                // R^LO's own LC interference.
+                StreamKind::Lc { cost } => lc += cost,
+                StreamKind::Hc { slot } => {
+                    let m = &mut slots[slot].m;
+                    *m = (*m).max(stream.count);
+                }
+            }
+            // Saturating stepping is the exact overflow guard: a
+            // mathematical next step beyond `u64::MAX` also lies beyond
+            // `R^LO_i ≤ u64::MAX`, and the saturated value fails the
+            // `next < r_lo` test just the same, ending the stream instead
+            // of wrapping (or panicking) near `Time::MAX`.
+            stream.next = stream.next.saturating_add(stream.stride);
+        }
+        f(s, lc, slots)?;
+    }
+}
+
+/// AMC-max response of the task at lane `p` at one switch instant, from
+/// the walk's running interference state: `lc` is the frozen LC demand
+/// at `s` and each [`HcSlot`] carries `M(k, s)`, so each sweep is one
+/// pass over the hp-HC slots, charging `C^L_k·M + C^H_k·(n−M)` with
+/// `n = ⌈R/T_k⌉` and `M = min(M(k, s), n)`. `None` once an iterate passes
+/// the deadline.
+///
+/// Arithmetic as in [`rtb`]: every sweep's sum is at most the rtb sum at
+/// the same `R` (module docs), which the certificate keeps overflow-free,
+/// so the plain `FAST` route computes what the saturating one does.
+fn max_response<const FAST: bool>(
+    soa: &SoaTasks,
+    p: usize,
+    lc: u64,
+    slots: &[HcSlot],
+) -> Option<u64> {
+    let n = soa.len();
+    let wl = &soa.wcet_lo[..n];
+    let wh = &soa.wcet_hi[..n];
+    let per = &soa.period[..n];
+    let inv = &soa.inv_period[..n];
+    let mut r = wh[p];
+    loop {
+        let mut acc = lc;
+        for slot in slots {
+            let j = slot.lane;
+            let all = jobs::<FAST>(r, per[j], inv[j]);
+            let done = slot.m.min(all);
+            let cost = add::<FAST>(mul::<FAST>(wl[j], done), mul::<FAST>(wh[j], all - done));
+            acc = add::<FAST>(acc, cost);
+        }
+        let next = add::<FAST>(wh[p], acc);
+        if next > soa.deadline[p] {
+            return None;
+        }
+        if next == r {
+            return Some(r);
+        }
+        r = next;
+    }
+}
+
+/// The AMC-max bound of the task at lane `p` (with `q` HC positions above
+/// it and low-mode response `r_lo`): the worst response over all switch
+/// instants, `None` when some instant misses the deadline. No rtb cap is
+/// applied — it never binds (module docs).
+///
+/// Candidates are walked by [`for_each_candidate`]'s streaming k-way
+/// merge; the per-candidate interference is delta-updated as streams
+/// fire, so each fixpoint sweep only pays one `⌈r/T⌉` per hp-HC task and
+/// nothing at all for LC tasks. The visited instants and every fixpoint
+/// are identical to the seed implementation retained in [`mod@reference`].
+fn max_bound<const FAST: bool>(
+    soa: &SoaTasks,
+    p: usize,
+    q: usize,
+    r_lo: u64,
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+) -> Option<u64> {
+    let mut worst = 0;
+    let mut prev_lc = None;
+    for_each_candidate(soa, p, q, r_lo, streams, slots, |_s, lc, slots| {
+        // Dominance skip (a structural win of the delta-updated walk): if
+        // no LC term stepped since the last *evaluated* candidate, only
+        // the completed-job bounds `M(k, s)` grew, so the interference
+        // function shrank pointwise and this candidate's least fixed
+        // point is ≤ the previous one — it can neither raise the max nor
+        // turn infeasible. The returned bound and verdict are exactly the
+        // seed path's (`s = 0` is always evaluated: `prev_lc` starts
+        // unset).
+        if prev_lc == Some(lc) {
+            return Some(());
+        }
+        prev_lc = Some(lc);
+        worst = worst.max(max_response::<FAST>(soa, p, lc, slots)?);
+        Some(())
+    })?;
+    Some(worst)
+}
+
+/// AMC-max bounds over the SoA lanes for the HC tasks of ranks
+/// `from_rank..` (indices into [`SoaTasks::hc_pos`]), one task at a time,
+/// monomorphised on the loaded set's certificate. Bounds land in
+/// `hi_resp` by task index via `order`; returns `false` iff some analysed
+/// task misses its deadline at some switch instant.
+fn run_max(
+    soa: &SoaTasks,
+    order: &[usize],
+    from_rank: usize,
+    lo_resp: &[Time],
+    streams: &mut Vec<CandStream>,
+    slots: &mut Vec<HcSlot>,
+    hi_resp: &mut [Option<Time>],
+) -> bool {
+    fn each<const FAST: bool>(
+        soa: &SoaTasks,
+        order: &[usize],
+        from_rank: usize,
+        lo_resp: &[Time],
+        streams: &mut Vec<CandStream>,
+        slots: &mut Vec<HcSlot>,
+        hi_resp: &mut [Option<Time>],
+    ) -> bool {
+        for (q, &p) in soa.hc_pos.iter().enumerate().skip(from_rank) {
+            let i = order[p];
+            match max_bound::<FAST>(soa, p, q, lo_resp[i].as_ticks(), streams, slots) {
+                Some(r) => hi_resp[i] = Some(Time::new(r)),
+                None => return false,
+            }
+        }
+        true
+    }
+    if soa.fast() {
+        each::<true>(soa, order, from_rank, lo_resp, streams, slots, hi_resp)
+    } else {
+        each::<false>(soa, order, from_rank, lo_resp, streams, slots, hi_resp)
+    }
+}
+
+/// The one-shot DM analyses over workspace scratch: delegates to the
+/// incremental layer's [`analyze_into`] with the workspace's reusable
+/// cache, SoA lanes and candidate-walk buffers, so the one-shot and the
+/// cache-rebuild paths are literally the same code and the steady-state
+/// one-shot path allocates nothing.
+fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorkspace) -> bool {
+    let AnalysisWorkspace {
+        streams,
+        hc,
+        amc,
+        soa,
+        ..
+    } = ws;
+    analyze_into(ts.as_slice(), variant, soa, streams, hc, amc)
+}
+
 /// Low-mode response-time analysis at `C^L` budgets under
 /// deadline-monotonic priorities.
 ///
@@ -515,471 +771,6 @@ impl LoRta {
             run_lo_rta(&ws.soa, order, 0, |_| 0, &mut resp)
         })
         .then_some(resp)
-    }
-}
-
-/// The seed low-mode RTA: one scalar fixpoint per task, chasing the AoS
-/// `Task` structs. Retained for the [`reference`] module (the hot path
-/// runs [`lo_rta`] instead).
-// mclint: cold — seed implementation kept for the reference module, never on the probe path
-fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
-    let mut resp = vec![Time::ZERO; tasks.len()];
-    for (pos, &i) in order.iter().enumerate() {
-        let hp = &order[..pos];
-        let r = fixpoint(tasks[i].wcet_lo(), tasks[i].deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    tasks[j]
-                        .wcet_lo()
-                        .saturating_mul(r.div_ceil(tasks[j].period()))
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })?;
-        resp[i] = r;
-    }
-    Some(resp)
-}
-
-/// Shared AMC machinery: low-mode RTA plus per-variant high-mode RTA,
-/// allocating its index and response vectors per call. Only the
-/// [`reference`] module still runs this; the hot path goes through
-/// [`amc_schedulable_in`].
-fn amc_schedulable(ts: &TaskSet, hi_rta: impl Fn(&AmcContext<'_>, usize) -> Option<Time>) -> bool {
-    if ts.is_empty() {
-        return true;
-    }
-    let order = dm_order(ts);
-    let Some(lo_resp) = lo_rta_scalar(ts.as_slice(), &order) else {
-        return false;
-    };
-    let ctx = AmcContext {
-        tasks: ts.as_slice(),
-        order: &order,
-        lo_resp: &lo_resp,
-    };
-    for &i in order.iter() {
-        if ctx.tasks[i].criticality() == Criticality::High {
-            // The seed path re-derives each task's priority position with
-            // a linear scan, exactly as it always did (the hot path
-            // threads positions through instead).
-            match hi_rta(&ctx, ctx.pos_of(i)) {
-                Some(r) if r <= ctx.tasks[i].deadline() => {}
-                _ => return false,
-            }
-        }
-    }
-    true
-}
-
-/// [`amc_schedulable`] over workspace scratch: delegates to the
-/// incremental layer's [`analyze_into`] with the workspace's reusable
-/// cache, SoA lanes and candidate-walk buffers, so the one-shot and the
-/// cache-rebuild paths are literally the same code and the steady-state
-/// one-shot path allocates nothing.
-fn amc_schedulable_in(ts: &TaskSet, variant: AmcVariant, ws: &mut AnalysisWorkspace) -> bool {
-    let AnalysisWorkspace {
-        streams,
-        hc,
-        amc,
-        soa,
-        ..
-    } = ws;
-    analyze_into(ts.as_slice(), variant, soa, streams, hc, amc)
-}
-
-/// One step sequence of a single interference term in the streaming
-/// AMC-max candidate walk: fires at `next`, `next + stride`, … until the
-/// step point reaches the task's low-mode response time (stepping is
-/// saturating, see [`AmcContext::fold_candidates`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CandStream {
-    /// The next step instant (`Time::MAX`-saturated once exhausted).
-    next: Time,
-    /// Distance between steps (the interferer's period).
-    stride: Time,
-    /// Steps fired so far — the term's current job count.
-    count: u64,
-    /// Which running quantity a fire updates.
-    kind: StreamKind,
-}
-
-/// What a [`CandStream`] fire contributes.
-#[derive(Debug, Clone, Copy)]
-enum StreamKind {
-    /// LC interferer: a fire freezes one more `C^L` job into the LC sum.
-    Lc {
-        /// The interferer's `C^L`.
-        cost: Time,
-    },
-    /// HC interferer bound (deadline- or release-based): a fire raises the
-    /// completed-job bound `M(k, s)` of the slot.
-    Hc {
-        /// Index into the walk's [`HcSlot`] array.
-        slot: usize,
-    },
-}
-
-/// Per-hp-HC-task state of the streaming AMC-max walk: the constants of
-/// its interference term plus the current completed-job bound `M(k, s)`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HcSlot {
-    wcet_lo: Time,
-    wcet_hi: Time,
-    period: Time,
-    /// `max(by_deadline(s), by_release(s))` at the walk's current instant.
-    m: u64,
-}
-
-/// Bundled inputs for the high-mode analyses.
-struct AmcContext<'a> {
-    tasks: &'a [Task],
-    order: &'a [usize],
-    lo_resp: &'a [Time],
-}
-
-impl AmcContext<'_> {
-    /// The priority position of task index `i` — a linear scan, used only
-    /// by the [`reference`] paths (the hot paths already know their
-    /// position and pass it straight through).
-    fn pos_of(&self, i: usize) -> usize {
-        self.order
-            .iter()
-            .position(|&x| x == i)
-            .expect("task in order")
-    }
-
-    /// Higher-priority task indices for the task at priority position
-    /// `pos`.
-    fn hp(&self, pos: usize) -> &[usize] {
-        &self.order[..pos]
-    }
-
-    fn rtb_response(&self, pos: usize) -> Option<Time> {
-        let i = self.order[pos];
-        self.rtb_response_from(pos, self.tasks[i].wcet_hi())
-    }
-
-    /// [`AmcContext::rtb_response`] with a warm-started fixpoint (see
-    /// [`fixpoint_from`] for why the result is identical). The LC charge
-    /// is frozen at the low-mode response — constant across iterations —
-    /// so it is folded once and only the HC terms are re-derived per
-    /// iteration.
-    fn rtb_response_from(&self, pos: usize, start: Time) -> Option<Time> {
-        let i = self.order[pos];
-        let ti = &self.tasks[i];
-        let hp = self.hp(pos);
-        let lo_cap = self.lo_resp[i];
-        let lc_const: Time = hp
-            .iter()
-            .map(|&j| {
-                let tj = &self.tasks[j];
-                match tj.criticality() {
-                    Criticality::Low => tj.wcet_lo().saturating_mul(lo_cap.div_ceil(tj.period())),
-                    Criticality::High => Time::ZERO,
-                }
-            })
-            .fold(Time::ZERO, Time::saturating_add);
-        fixpoint_from(start, ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::High => tj.wcet_hi().saturating_mul(r.div_ceil(tj.period())),
-                        Criticality::Low => Time::ZERO,
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-                .saturating_add(lc_const)
-        })
-    }
-
-    /// The seed rtb fixpoint: re-derives every hp term — LC included —
-    /// on every iteration. Retained for the [`reference`] paths.
-    fn rtb_response_reference(&self, pos: usize) -> Option<Time> {
-        let i = self.order[pos];
-        let ti = &self.tasks[i];
-        let hp = self.hp(pos);
-        let lo_cap = self.lo_resp[i];
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::High => tj.wcet_hi().saturating_mul(r.div_ceil(tj.period())),
-                        Criticality::Low => {
-                            tj.wcet_lo().saturating_mul(lo_cap.div_ceil(tj.period()))
-                        }
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })
-    }
-
-    /// The AMC-max bound for the task at priority position `pos`: the
-    /// worst response over all switch instants, never worse than the rtb
-    /// bound (shared by the one-shot test and the incremental state so
-    /// the code paths cannot diverge).
-    ///
-    /// Candidate switch instants are walked by [`fold_candidates`]'s
-    /// streaming k-way merge instead of materialising, sorting and
-    /// deduplicating a `Vec<Time>`; the per-candidate interference is
-    /// delta-updated as streams fire, so each fixpoint iteration only pays
-    /// one `⌈r/T⌉` per higher-priority HC task and nothing at all for LC
-    /// tasks. The visited instants and every fixpoint are identical to the
-    /// seed implementation retained in [`crate::amc::reference`].
-    ///
-    /// [`fold_candidates`]: AmcContext::fold_candidates
-    fn max_bound_in(
-        &self,
-        pos: usize,
-        streams: &mut Vec<CandStream>,
-        slots: &mut Vec<HcSlot>,
-    ) -> Option<Time> {
-        // max over switch instants; infeasible at any instant → None.
-        let mut prev_lc = None;
-        let worst =
-            self.fold_candidates(pos, streams, slots, Time::ZERO, |worst, _s, lc, slots| {
-                // Dominance skip (a structural win of the delta-updated
-                // walk): if no LC term stepped since the last *evaluated*
-                // candidate, only the completed-job bounds `M(k, s)` grew,
-                // so the interference function shrank pointwise and this
-                // candidate's least fixed point is ≤ the previous one — it
-                // can neither raise the max nor turn infeasible. The
-                // returned bound and verdict are exactly the seed path's
-                // (`s = 0` is always evaluated: `prev_lc` starts unset).
-                if prev_lc == Some(lc) {
-                    return Some(worst);
-                }
-                prev_lc = Some(lc);
-                let r = self.max_response_streamed(pos, lc, slots)?;
-                Some(worst.max(r))
-            })?;
-        // AMC-max result never needs to be worse than AMC-rtb.
-        match self.rtb_response(pos) {
-            Some(rtb) => Some(worst.min(rtb)),
-            None => Some(worst),
-        }
-    }
-
-    /// AMC-max response at one switch instant, from the walk's running
-    /// interference state: `lc` is the frozen LC demand at `s` and each
-    /// [`HcSlot`] carries `M(k, s)`, so the fixpoint body is a single pass
-    /// over the hp-HC slots. Computes exactly the sums of
-    /// [`AmcContext::max_response_at`] (integer arithmetic, identical
-    /// operations per term).
-    fn max_response_streamed(&self, pos: usize, lc: Time, slots: &[HcSlot]) -> Option<Time> {
-        let ti = &self.tasks[self.order[pos]];
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            let mut total = lc;
-            for slot in slots {
-                let n = r.div_ceil(slot.period);
-                let m = slot.m.min(n);
-                total = total.saturating_add(
-                    slot.wcet_lo
-                        .saturating_mul(m)
-                        .saturating_add(slot.wcet_hi.saturating_mul(n - m)),
-                );
-            }
-            total
-        })
-    }
-
-    /// Folds `f` over every candidate switch instant of the task at
-    /// priority position `pos`, in strictly increasing order with
-    /// coinciding steps merged — exactly the sorted-deduplicated set
-    /// `{0} ∪ {step points < R^LO_i}` the seed implementation
-    /// materialised.
-    ///
-    /// `f` receives the accumulator, the instant `s`, the frozen LC
-    /// interference `Σ_{j∈hpL} (⌊s/Tj⌋+1)·C^L_j` and the hp-HC slots with
-    /// their completed-job bounds `M(k, s)` up to date; returning `None`
-    /// aborts the walk.
-    fn fold_candidates<T>(
-        &self,
-        pos: usize,
-        streams: &mut Vec<CandStream>,
-        slots: &mut Vec<HcSlot>,
-        init: T,
-        mut f: impl FnMut(T, Time, Time, &[HcSlot]) -> Option<T>,
-    ) -> Option<T> {
-        let r_lo = self.lo_resp[self.order[pos]];
-        streams.clear();
-        slots.clear();
-        let mut lc = Time::ZERO;
-        for &j in self.hp(pos) {
-            let tj = &self.tasks[j];
-            match tj.criticality() {
-                Criticality::Low => {
-                    // (⌊s/T⌋+1)·C^L: one job at s = 0, stepping at every
-                    // multiple of T.
-                    lc = lc.saturating_add(tj.wcet_lo());
-                    streams.push(CandStream {
-                        next: tj.period(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Lc { cost: tj.wcet_lo() },
-                    });
-                }
-                Criticality::High => {
-                    // M(k, s) = max(by_deadline, by_release) steps at
-                    // D + a·T (deadline bound) and at multiples of T
-                    // (release bound).
-                    let slot = slots.len();
-                    slots.push(HcSlot {
-                        wcet_lo: tj.wcet_lo(),
-                        wcet_hi: tj.wcet_hi(),
-                        period: tj.period(),
-                        m: 0,
-                    });
-                    streams.push(CandStream {
-                        next: tj.deadline(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Hc { slot },
-                    });
-                    streams.push(CandStream {
-                        next: tj.period(),
-                        stride: tj.period(),
-                        count: 0,
-                        kind: StreamKind::Hc { slot },
-                    });
-                }
-            }
-        }
-        // s = 0 is always a candidate.
-        let mut acc = f(init, Time::ZERO, lc, slots)?;
-        loop {
-            // k-way merge: the earliest pending step strictly below R^LO.
-            let mut s = r_lo;
-            for stream in streams.iter() {
-                if stream.next < s {
-                    s = stream.next;
-                }
-            }
-            if s >= r_lo {
-                return Some(acc);
-            }
-            // Fire every stream stepping at s (coinciding steps collapse
-            // into the one candidate, replacing the seed path's dedup).
-            for stream in streams.iter_mut() {
-                if stream.next != s {
-                    continue;
-                }
-                stream.count += 1;
-                match stream.kind {
-                    StreamKind::Lc { cost } => lc += cost,
-                    StreamKind::Hc { slot } => {
-                        let m = &mut slots[slot].m;
-                        *m = (*m).max(stream.count);
-                    }
-                }
-                // Saturating stepping is the exact overflow guard: a
-                // mathematical next step beyond `u64::MAX` also lies
-                // beyond `R^LO_i ≤ u64::MAX`, and the saturated value
-                // fails the `next < r_lo` test just the same, ending the
-                // stream instead of wrapping (or panicking) near
-                // `Time::MAX`.
-                stream.next = stream.next.saturating_add(stream.stride);
-            }
-            acc = f(acc, s, lc, slots)?;
-        }
-    }
-
-    /// The seed implementation of the AMC-max bound — materialise, sort
-    /// and deduplicate the candidate instants, then re-derive every
-    /// interference term per candidate. Retained (not called on the hot
-    /// path) as the equivalence reference for the streaming walk; see
-    /// [`crate::amc::reference`].
-    fn max_bound_reference(&self, pos: usize) -> Option<Time> {
-        let mut worst = Time::ZERO;
-        for s in self.switch_candidates(pos) {
-            let r = self.max_response_at(pos, s)?;
-            worst = worst.max(r);
-        }
-        match self.rtb_response_reference(pos) {
-            Some(rtb) => Some(worst.min(rtb)),
-            None => Some(worst),
-        }
-    }
-
-    /// AMC-max response for switch instant `s` (reference path).
-    fn max_response_at(&self, pos: usize, s: Time) -> Option<Time> {
-        let ti = &self.tasks[self.order[pos]];
-        let hp = self.hp(pos);
-        fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
-            hp.iter()
-                .map(|&j| {
-                    let tj = &self.tasks[j];
-                    match tj.criticality() {
-                        Criticality::Low => tj
-                            .wcet_lo()
-                            .saturating_mul(s.div_floor(tj.period()).saturating_add(1)),
-                        Criticality::High => {
-                            let n = r.div_ceil(tj.period());
-                            // Two sound lower bounds on the hp-HC jobs that
-                            // certainly completed (hence ran at C^L) before
-                            // the switch at s:
-                            //  * jobs with deadlines at or before s (low-mode
-                            //    deadlines are guaranteed): ⌊(s−D)/T⌋ + 1;
-                            //  * all releases in [0, s] except at most one —
-                            //    with constrained deadlines (D ≤ T), at most
-                            //    one job per task is incomplete at any
-                            //    deadline-meeting instant: ⌊s/T⌋.
-                            let by_deadline = if s >= tj.deadline() {
-                                (s - tj.deadline()).div_floor(tj.period()) + 1
-                            } else {
-                                0
-                            };
-                            let by_release = s.div_floor(tj.period());
-                            let m = by_deadline.max(by_release).min(n);
-                            tj.wcet_lo()
-                                .saturating_mul(m)
-                                .saturating_add(tj.wcet_hi().saturating_mul(n - m))
-                        }
-                    }
-                })
-                .fold(Time::ZERO, Time::saturating_add)
-        })
-    }
-
-    /// Candidate switch instants for the task at priority position `pos`:
-    /// points in `[0, R^LO_i)` where some interference term steps, plus 0
-    /// (reference path; the hot path streams the same instants through
-    /// [`AmcContext::fold_candidates`] without materialising them).
-    // mclint: cold — reference path; the hot path streams candidates without materialising
-    fn switch_candidates(&self, pos: usize) -> Vec<Time> {
-        let r_lo = self.lo_resp[self.order[pos]];
-        let mut cands = vec![Time::ZERO];
-        for &j in self.hp(pos) {
-            let tj = &self.tasks[j];
-            match tj.criticality() {
-                Criticality::Low => {
-                    // (⌊s/T⌋+1) steps at multiples of T.
-                    let mut t = tj.period();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                }
-                Criticality::High => {
-                    // M(k, s) steps at D + j·T (deadline bound) and at
-                    // multiples of T (release bound).
-                    let mut t = tj.deadline();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                    let mut t = tj.period();
-                    while t < r_lo {
-                        cands.push(t);
-                        t = t.saturating_add(tj.period());
-                    }
-                }
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        cands
     }
 }
 
@@ -1191,8 +982,9 @@ impl IncrementalTest for AmcRtb {
 /// The AMC-max schedulability test (the variant the DATE 2017 paper uses
 /// for its "AMC" results).
 ///
-/// Dominates [`AmcRtb`]: the returned response bound is the minimum of the
-/// switch-instant enumeration and the rtb bound.
+/// Dominates [`AmcRtb`]: at every switch instant the interference is
+/// pointwise at most the rtb one, so every bound it computes is at most
+/// the rtb bound (see the module docs).
 ///
 /// # Example
 ///
@@ -1289,8 +1081,9 @@ impl AmcCache {
 /// unchanged), so those response times are reused verbatim; the candidate
 /// and the tasks below it re-run their fixed-point iterations
 /// **warm-started** from the previous responses, which converge to the
-/// same least fixed points (see `fixpoint_from`) — the verdict is
-/// exactly the one-shot test's, at a fraction of the iterations.
+/// same least fixed points (module docs, *Seeding soundness*) — the
+/// verdict is exactly the one-shot test's, at a fraction of the
+/// iterations.
 /// All buffers — the committed cache, the candidate scratch cache and the
 /// shared [`AnalysisWorkspace`] — are reused across admission queries, so
 /// the steady-state probe path performs no heap allocations (pinned by
@@ -1387,23 +1180,7 @@ fn analyze_into(
     hi_resp.resize(tasks.len(), None);
     match variant {
         AmcVariant::RtbDm => run_rtb(soa, order, 0, lo_resp, |_| 0, hi_resp),
-        AmcVariant::Max => {
-            let ctx = AmcContext {
-                tasks,
-                order: order.as_slice(),
-                lo_resp: lo_resp.as_slice(),
-            };
-            for (pos, &i) in ctx.order.iter().enumerate() {
-                if tasks[i].criticality() != Criticality::High {
-                    continue;
-                }
-                match ctx.max_bound_in(pos, streams, slots) {
-                    Some(r) if r <= tasks[i].deadline() => hi_resp[i] = Some(r),
-                    _ => return false,
-                }
-            }
-            true
-        }
+        AmcVariant::Max => run_max(soa, order, 0, lo_resp, streams, slots, hi_resp),
         AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
     }
 }
@@ -1421,28 +1198,20 @@ fn dm_insert_pos(committed: &[Task], cache: &AmcCache, cand: &Task) -> usize {
 /// point `p`, warm-start the suffix from the cached bounds (sound lower
 /// bounds on the new fixed points — see the module docs). `soa` must
 /// hold the committed lanes with the candidate's already inserted at `p`
-/// (the caller's delta update). The union set is assembled in `union`
-/// and the analysis lands in `out`, both reused across probes. Returns
-/// `false` iff the one-shot test rejects the union.
-#[allow(clippy::too_many_arguments)]
+/// (the caller's delta update); the candidate takes task index
+/// `cache.order.len()`, one past the committed tasks. The analysis lands
+/// in `out`, reused across probes. Returns `false` iff the one-shot test
+/// rejects the union.
 fn admit_incremental_into(
-    committed: &[Task],
     cache: &AmcCache,
-    cand: &Task,
     p: usize,
     variant: AmcVariant,
     soa: &SoaTasks,
-    union: &mut Vec<Task>,
     streams: &mut Vec<CandStream>,
     slots: &mut Vec<HcSlot>,
     out: &mut AmcCache,
 ) -> bool {
-    let n = committed.len();
-    union.clear();
-    union.extend_from_slice(committed);
-    union.push(*cand);
-    let tasks = union.as_slice();
-
+    let n = cache.order.len();
     out.clear();
     let AmcCache {
         order,
@@ -1482,11 +1251,12 @@ fn admit_incremental_into(
     for &i in &cache.order[..p] {
         hi_resp[i] = cache.hi_resp[i];
     }
+    let from_rank = soa.hc_rank_below(p);
     match variant {
         AmcVariant::RtbDm => run_rtb(
             soa,
             order,
-            soa.hc_rank_below(p),
+            from_rank,
             lo_resp,
             |pos| {
                 let i = order[pos];
@@ -1498,24 +1268,7 @@ fn admit_incremental_into(
             },
             hi_resp,
         ),
-        AmcVariant::Max => {
-            let ctx = AmcContext {
-                tasks,
-                order: order.as_slice(),
-                lo_resp: lo_resp.as_slice(),
-            };
-            for pos in p..=n {
-                let i = ctx.order[pos];
-                if tasks[i].criticality() != Criticality::High {
-                    continue;
-                }
-                match ctx.max_bound_in(pos, streams, slots) {
-                    Some(r) if r <= tasks[i].deadline() => hi_resp[i] = Some(r),
-                    _ => return false,
-                }
-            }
-            true
-        }
+        AmcVariant::Max => run_max(soa, order, from_rank, lo_resp, streams, slots, hi_resp),
         AmcVariant::RtbAudsley => unreachable!("audsley has no DM cache"),
     }
 }
@@ -1558,13 +1311,10 @@ impl AdmissionState for AmcState {
             // commit() re-inserts if the probe's analysis is adopted.
             self.soa.insert(p, task);
             let ok = admit_incremental_into(
-                committed,
                 &self.cache,
-                task,
                 p,
                 self.variant,
                 &self.soa,
-                &mut ws.tasks,
                 &mut ws.streams,
                 &mut ws.hc,
                 &mut self.scratch,
@@ -1674,7 +1424,8 @@ pub fn amc_rtb_bounds_batched(ts: &TaskSet) -> Option<(bool, Vec<Option<Time>>)>
 }
 
 /// Seed (allocating) AMC implementations retained **verbatim** as the
-/// equivalence reference for the streaming, workspace-backed hot path.
+/// equivalence reference for the lane kernels and the streaming
+/// AMC-max walk, plus witnesses that run the hot walk on one task.
 ///
 /// The property tests (`tests/analysis_workspace.rs`) and the
 /// `BENCH_analysis.json` throughput artifact (`mcexp analysis --json`)
@@ -1719,24 +1470,18 @@ pub mod reference {
         with_ctx(ts, |ctx| ctx.switch_candidates(ctx.pos_of(task_index)))
     }
 
-    /// The candidate instants the streaming walk visits, in visit order
-    /// (must equal [`amc_max_candidates`] exactly).
+    /// The candidate instants the streaming lane walk visits, in visit
+    /// order (must equal [`amc_max_candidates`] exactly).
     // mclint: cold — reference-module witness; materialises for comparison only
     pub fn amc_max_candidates_streamed(ts: &TaskSet, task_index: usize) -> Option<Vec<Time>> {
-        with_ctx(ts, |ctx| {
-            let mut streams = Vec::new();
-            let mut slots = Vec::new();
-            ctx.fold_candidates(
-                ctx.pos_of(task_index),
-                &mut streams,
-                &mut slots,
-                Vec::new(),
-                |mut acc, s, _, _| {
-                    acc.push(s);
-                    Some(acc)
-                },
-            )
-            .expect("collection never aborts")
+        with_lanes(ts, task_index, |soa, p, q, r_lo| {
+            let (mut cands, mut streams, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+            for_each_candidate(soa, p, q, r_lo, &mut streams, &mut slots, |s, _, _| {
+                cands.push(Time::new(s));
+                Some(())
+            })
+            .expect("collection never aborts");
+            cands
         })
     }
 
@@ -1747,14 +1492,20 @@ pub mod reference {
         with_ctx(ts, |ctx| ctx.max_bound_reference(ctx.pos_of(task_index)))
     }
 
-    /// The streaming AMC-max response bound of `task_index` (must equal
-    /// [`amc_max_bound`] exactly).
+    /// The AMC-max bound of `task_index` from the hot lane walk, on the
+    /// route the set's certificate selects (must equal [`amc_max_bound`]
+    /// exactly, although the seed caps it with the rtb bound and the
+    /// walk does not).
     // mclint: cold — reference-module witness; scratch vectors live per call by design
     pub fn amc_max_bound_streamed(ts: &TaskSet, task_index: usize) -> Option<Option<Time>> {
-        with_ctx(ts, |ctx| {
-            let mut streams = Vec::new();
-            let mut slots = Vec::new();
-            ctx.max_bound_in(ctx.pos_of(task_index), &mut streams, &mut slots)
+        with_lanes(ts, task_index, |soa, p, q, r_lo| {
+            let (mut streams, mut slots) = (Vec::new(), Vec::new());
+            let r = if soa.fast() {
+                max_bound::<true>(soa, p, q, r_lo, &mut streams, &mut slots)
+            } else {
+                max_bound::<false>(soa, p, q, r_lo, &mut streams, &mut slots)
+            };
+            r.map(Time::new)
         })
     }
 
@@ -1767,6 +1518,244 @@ pub mod reference {
             lo_resp: &lo_resp,
         };
         Some(f(&ctx))
+    }
+
+    /// Loads `ts` into DM-ordered lanes, runs the lane low-mode RTA, and
+    /// hands `f` the lanes, `task_index`'s position, the number of HC
+    /// positions above it and its low-mode response; `None` when low
+    /// mode fails.
+    // mclint: cold — reference-module witness; per-call lanes by design
+    fn with_lanes<R>(
+        ts: &TaskSet,
+        task_index: usize,
+        f: impl FnOnce(&SoaTasks, usize, usize, u64) -> R,
+    ) -> Option<R> {
+        let order = dm_order(ts);
+        let mut soa = SoaTasks::default();
+        soa.load(ts.as_slice(), &order);
+        let mut lo_resp = vec![Time::ZERO; ts.len()];
+        if !run_lo_rta(&soa, &order, 0, |_| 0, &mut lo_resp) {
+            return None;
+        }
+        let p = order
+            .iter()
+            .position(|&x| x == task_index)
+            .expect("task in order");
+        let r_lo = lo_resp[task_index].as_ticks();
+        Some(f(&soa, p, soa.hc_rank_below(p), r_lo))
+    }
+
+    /// Iterates the standard RTA fixpoint `R = wcet + interference(R)`
+    /// from `R = wcet`, bailing out as soon as `R` exceeds `deadline`.
+    /// The accumulation saturates: an overflowing response also exceeds
+    /// every `deadline < u64::MAX`, so it fails the same way.
+    fn fixpoint(wcet: Time, deadline: Time, interference: impl Fn(Time) -> Time) -> Option<Time> {
+        let mut r = wcet;
+        loop {
+            let next = wcet.saturating_add(interference(r));
+            if next > deadline {
+                return None;
+            }
+            if next == r {
+                return Some(r);
+            }
+            r = next;
+        }
+    }
+
+    /// The seed low-mode RTA: one scalar fixpoint per task, chasing the
+    /// AoS `Task` structs (the hot path runs [`lo_rta`] instead).
+    // mclint: cold — seed implementation kept for the reference module, never on the probe path
+    fn lo_rta_scalar(tasks: &[Task], order: &[usize]) -> Option<Vec<Time>> {
+        let mut resp = vec![Time::ZERO; tasks.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            let hp = &order[..pos];
+            let r = fixpoint(tasks[i].wcet_lo(), tasks[i].deadline(), |r| {
+                hp.iter()
+                    .map(|&j| {
+                        tasks[j]
+                            .wcet_lo()
+                            .saturating_mul(r.div_ceil(tasks[j].period()))
+                    })
+                    .fold(Time::ZERO, Time::saturating_add)
+            })?;
+            resp[i] = r;
+        }
+        Some(resp)
+    }
+
+    /// Shared seed AMC machinery: low-mode RTA plus per-variant high-mode
+    /// RTA, allocating its index and response vectors per call (the hot
+    /// path goes through [`amc_schedulable_in`]).
+    fn amc_schedulable(
+        ts: &TaskSet,
+        hi_rta: impl Fn(&AmcContext<'_>, usize) -> Option<Time>,
+    ) -> bool {
+        if ts.is_empty() {
+            return true;
+        }
+        let order = dm_order(ts);
+        let Some(lo_resp) = lo_rta_scalar(ts.as_slice(), &order) else {
+            return false;
+        };
+        let ctx = AmcContext {
+            tasks: ts.as_slice(),
+            order: &order,
+            lo_resp: &lo_resp,
+        };
+        for &i in order.iter() {
+            if ctx.tasks[i].criticality() == Criticality::High {
+                // The seed path re-derives each task's priority position
+                // with a linear scan, exactly as it always did (the hot
+                // path threads positions through instead).
+                match hi_rta(&ctx, ctx.pos_of(i)) {
+                    Some(r) if r <= ctx.tasks[i].deadline() => {}
+                    _ => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// Bundled inputs for the seed high-mode analyses.
+    struct AmcContext<'a> {
+        tasks: &'a [Task],
+        order: &'a [usize],
+        lo_resp: &'a [Time],
+    }
+
+    impl AmcContext<'_> {
+        /// The priority position of task index `i` — a linear scan.
+        fn pos_of(&self, i: usize) -> usize {
+            self.order
+                .iter()
+                .position(|&x| x == i)
+                .expect("task in order")
+        }
+
+        /// Higher-priority task indices for the task at priority position
+        /// `pos`.
+        fn hp(&self, pos: usize) -> &[usize] {
+            &self.order[..pos]
+        }
+
+        /// The seed rtb fixpoint: re-derives every hp term — LC included
+        /// — on every iteration.
+        fn rtb_response_reference(&self, pos: usize) -> Option<Time> {
+            let i = self.order[pos];
+            let ti = &self.tasks[i];
+            let hp = self.hp(pos);
+            let lo_cap = self.lo_resp[i];
+            fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
+                hp.iter()
+                    .map(|&j| {
+                        let tj = &self.tasks[j];
+                        match tj.criticality() {
+                            Criticality::High => {
+                                tj.wcet_hi().saturating_mul(r.div_ceil(tj.period()))
+                            }
+                            Criticality::Low => {
+                                tj.wcet_lo().saturating_mul(lo_cap.div_ceil(tj.period()))
+                            }
+                        }
+                    })
+                    .fold(Time::ZERO, Time::saturating_add)
+            })
+        }
+
+        /// The seed AMC-max bound — materialise, sort and deduplicate the
+        /// candidate instants, re-derive every interference term per
+        /// candidate, and cap the result with the rtb bound, as published.
+        fn max_bound_reference(&self, pos: usize) -> Option<Time> {
+            let mut worst = Time::ZERO;
+            for s in self.switch_candidates(pos) {
+                let r = self.max_response_at(pos, s)?;
+                worst = worst.max(r);
+            }
+            match self.rtb_response_reference(pos) {
+                Some(rtb) => Some(worst.min(rtb)),
+                None => Some(worst),
+            }
+        }
+        /// AMC-max response for switch instant `s` (reference path).
+        fn max_response_at(&self, pos: usize, s: Time) -> Option<Time> {
+            let ti = &self.tasks[self.order[pos]];
+            let hp = self.hp(pos);
+            fixpoint(ti.wcet_hi(), ti.deadline(), |r| {
+                hp.iter()
+                    .map(|&j| {
+                        let tj = &self.tasks[j];
+                        match tj.criticality() {
+                            Criticality::Low => tj
+                                .wcet_lo()
+                                .saturating_mul(s.div_floor(tj.period()).saturating_add(1)),
+                            Criticality::High => {
+                                let n = r.div_ceil(tj.period());
+                                // Two sound lower bounds on the hp-HC jobs that
+                                // certainly completed (hence ran at C^L) before
+                                // the switch at s:
+                                //  * jobs with deadlines at or before s (low-mode
+                                //    deadlines are guaranteed): ⌊(s−D)/T⌋ + 1;
+                                //  * all releases in [0, s] except at most one —
+                                //    with constrained deadlines (D ≤ T), at most
+                                //    one job per task is incomplete at any
+                                //    deadline-meeting instant: ⌊s/T⌋.
+                                let by_deadline = if s >= tj.deadline() {
+                                    (s - tj.deadline()).div_floor(tj.period()) + 1
+                                } else {
+                                    0
+                                };
+                                let by_release = s.div_floor(tj.period());
+                                let m = by_deadline.max(by_release).min(n);
+                                tj.wcet_lo()
+                                    .saturating_mul(m)
+                                    .saturating_add(tj.wcet_hi().saturating_mul(n - m))
+                            }
+                        }
+                    })
+                    .fold(Time::ZERO, Time::saturating_add)
+            })
+        }
+
+        /// Candidate switch instants for the task at priority position `pos`:
+        /// points in `[0, R^LO_i)` where some interference term steps, plus 0
+        /// (reference path; the hot path streams the same instants through
+        /// [`for_each_candidate`] without materialising them).
+        // mclint: cold — reference path; the hot path streams candidates without materialising
+        fn switch_candidates(&self, pos: usize) -> Vec<Time> {
+            let r_lo = self.lo_resp[self.order[pos]];
+            let mut cands = vec![Time::ZERO];
+            for &j in self.hp(pos) {
+                let tj = &self.tasks[j];
+                match tj.criticality() {
+                    Criticality::Low => {
+                        // (⌊s/T⌋+1) steps at multiples of T.
+                        let mut t = tj.period();
+                        while t < r_lo {
+                            cands.push(t);
+                            t = t.saturating_add(tj.period());
+                        }
+                    }
+                    Criticality::High => {
+                        // M(k, s) steps at D + j·T (deadline bound) and at
+                        // multiples of T (release bound).
+                        let mut t = tj.deadline();
+                        while t < r_lo {
+                            cands.push(t);
+                            t = t.saturating_add(tj.period());
+                        }
+                        let mut t = tj.period();
+                        while t < r_lo {
+                            cands.push(t);
+                            t = t.saturating_add(tj.period());
+                        }
+                    }
+                }
+            }
+            cands.sort_unstable();
+            cands.dedup();
+            cands
+        }
     }
 }
 
@@ -2294,7 +2283,7 @@ mod tests {
 
     #[test]
     fn fixpoint_add_saturates_at_near_max_wcet() {
-        // Regression: `wcet + interference(r)` in `fixpoint_from` was an
+        // Regression: `wcet + interference(r)` in the seed `fixpoint` was an
         // unguarded add that wrapped for parameters near 2^63 (each
         // product stays in range — 2^63 · ⌈2^63/(2^63+2)⌉ = 2^63 — but
         // the final add reaches 2^64). The saturated sum exceeds every
@@ -2375,12 +2364,7 @@ mod tests {
         let lo = LoRta::compute_with_order(&ts, &order).unwrap();
         // R^LO_2 = 5 + 3·⌈R/7⌉ + 1·⌈R/11⌉ converges at 13.
         assert_eq!(lo[2], Time::new(13));
-        let ctx = AmcContext {
-            tasks: ts.as_slice(),
-            order: &order,
-            lo_resp: &lo,
-        };
-        let cands = ctx.switch_candidates(2);
+        let cands = reference::amc_max_candidates(&ts, 2).unwrap();
         assert!(cands.contains(&Time::ZERO));
         // Multiples of 7 (LC period) below R^LO and 11 (HC deadline and
         // period of τ1) below R^LO.

@@ -1,16 +1,17 @@
 //! Micro-benchmarks of the uniprocessor schedulability tests on
 //! generator-shaped task sets (the inner loop of every sweep).
 //!
-//! Two layers:
+//! Five bench groups:
 //!
 //! * `uniprocessor_tests` — every test through its public
 //!   `is_schedulable` entry point (which now draws scratch from the
 //!   thread-local workspace pool);
 //! * `amcmax_streaming` — AMC-max on large sets (n ≥ 20 tasks, the
 //!   acceptance criterion of the zero-allocation milestone): the retained
-//!   seed implementation (materialise + sort + dedup candidates, per-call
-//!   vectors) vs the streaming workspace path, verdicts asserted
-//!   bit-identical before any measurement;
+//!   seed implementation (materialise + sort + dedup candidates over
+//!   `&[Task]`, an rtb cap per HC task, per-call vectors) vs the
+//!   streaming walk over the SoA lanes (reciprocal division, no rtb
+//!   re-run), verdicts asserted bit-identical before any measurement;
 //! * `amc_rtb_batched` — AMC-rtb through the SoA lane kernels: the
 //!   retained scalar seed (per-task `div_ceil` recurrences over `&[Task]`)
 //!   vs the workspace path (fast-kernel certificate, reciprocal division,

@@ -3,23 +3,27 @@
 //! layer below `BENCH_partition.json`'s whole-partitioning trajectory).
 //!
 //! For each of the five tests and each processor count, a seeded corpus
-//! is judged twice:
+//! is judged by two passes:
 //!
 //! * **reference** — the retained seed implementation: per-call
 //!   allocating vectors, for AMC-max the materialise + sort + dedup
-//!   candidate enumeration ([`mcsched_analysis::amc::reference`]), and
-//!   for EY / ECDF the flat per-call QPA stack
-//!   ([`mcsched_analysis::vdtune::reference`] over
+//!   candidate enumeration with its rtb cap over `&[Task]`
+//!   ([`mcsched_analysis::amc::reference`]), and for EY / ECDF the flat
+//!   per-call QPA stack ([`mcsched_analysis::vdtune::reference`] over
 //!   [`mcsched_analysis::dbf::reference`]);
 //! * **workspace** — the hot path:
 //!   [`SchedulabilityTest::is_schedulable_in`] over one reused
-//!   [`AnalysisWorkspace`]: streaming AMC-max candidates, and the
-//!   incremental demand kernel (warm-resumed QPA fixpoints, memoised
-//!   violation anchors) behind the EY / ECDF tuners.
+//!   [`AnalysisWorkspace`]: the SoA lane kernels (for AMC-max the
+//!   streaming candidate walk over the lanes, with reciprocal division
+//!   and no rtb re-run), and the incremental demand kernel
+//!   (warm-resumed QPA fixpoints, memoised violation anchors) behind the
+//!   EY / ECDF tuners.
 //!
-//! Every verdict pair is **asserted equal** before it counts — a
-//! divergence panics, which is exactly what the `perf-analysis` CI job
-//! promotes into a failure.
+//! Each cell times [`REPS`] interleaved reference/workspace repetitions
+//! and reports the median ratio with its interquartile range, so one
+//! noisy pass cannot fail a gate on its own. Every verdict pair is
+//! **asserted equal** before it counts — a divergence panics, which is
+//! exactly what the `perf-analysis` CI job promotes into a failure.
 
 use mcsched_analysis::{
     amc::reference, vdtune::reference as vd_reference, AmcMax, AmcRtb, AnalysisWorkspace, Ecdf,
@@ -63,6 +67,10 @@ pub fn uniprocessor_corpus(m: usize, count: usize, seed: u64) -> Vec<TaskSet> {
     out
 }
 
+/// Interleaved reference/workspace repetitions timed per `(test, m)`
+/// cell.
+pub const REPS: usize = 5;
+
 /// One `(test, m)` cell of the throughput report.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalysisPerfRow {
@@ -77,12 +85,35 @@ pub struct AnalysisPerfRow {
     pub tasks: usize,
     /// Sets the test accepted (identical on both paths — asserted).
     pub accepted: usize,
-    /// Wall-clock for the reference (seed) pass, in milliseconds.
+    /// Median wall-clock of the reference (seed) passes, in
+    /// milliseconds.
     pub reference_ms: f64,
-    /// Wall-clock for the workspace (hot) pass, in milliseconds.
+    /// Median wall-clock of the workspace (hot) passes, in milliseconds.
     pub workspace_ms: f64,
-    /// `reference_ms / workspace_ms`.
+    /// Interleaved repetitions timed, each one reference pass followed
+    /// by one workspace pass.
+    pub reps: usize,
+    /// Median over the repetitions of `reference / workspace` — the
+    /// figure the gates read.
     pub speedup: f64,
+    /// First quartile of the per-repetition speedups.
+    pub speedup_q1: f64,
+    /// Third quartile of the per-repetition speedups.
+    pub speedup_q3: f64,
+}
+
+/// The `q`-quantile of `values` (linear interpolation between the
+/// order statistics; 0 when empty).
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    if v.is_empty() {
+        return 0.0;
+    }
+    let x = q * (v.len() - 1) as f64;
+    let lo = x.floor() as usize;
+    let hi = x.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
 }
 
 /// The full analysis-throughput report (serialized to
@@ -149,8 +180,9 @@ impl TestCase {
     }
 }
 
-/// Measures every test over seeded corpora for each `m`, asserting the
-/// workspace verdicts bit-identical to the reference pass.
+/// Measures every test over seeded corpora for each `m` with [`REPS`]
+/// interleaved repetitions per cell, asserting the workspace verdicts
+/// bit-identical to the reference pass on every repetition.
 ///
 /// # Panics
 ///
@@ -163,43 +195,53 @@ pub fn analysis_throughput(m_values: &[usize], sets: usize, seed: u64) -> Analys
         let tasks: usize = corpus.iter().map(TaskSet::len).sum();
         for case in TestCase::all() {
             let test = case.as_test();
-
-            // Reference pass (allocating seed implementations).
-            let start = Instant::now();
-            let ref_verdicts: Vec<bool> = corpus
-                .iter()
-                .map(|ts| reference_verdict(&case, ts))
-                .collect();
-            let reference_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            // Workspace pass: one reused workspace, as a sweep worker runs.
+            // One reused workspace, as a sweep worker runs.
             let mut ws = AnalysisWorkspace::new();
-            let start = Instant::now();
-            let ws_verdicts: Vec<bool> = corpus
-                .iter()
-                .map(|ts| test.is_schedulable_in(ts, &mut ws))
-                .collect();
-            let workspace_ms = start.elapsed().as_secs_f64() * 1e3;
+            let mut reference_ms = [0.0; REPS];
+            let mut workspace_ms = [0.0; REPS];
+            let mut speedups = [0.0; REPS];
+            let mut accepted = 0;
+            for rep in 0..REPS {
+                // Reference pass (allocating seed implementations).
+                let start = Instant::now();
+                let ref_verdicts: Vec<bool> = corpus
+                    .iter()
+                    .map(|ts| reference_verdict(&case, ts))
+                    .collect();
+                reference_ms[rep] = start.elapsed().as_secs_f64() * 1e3;
 
-            assert_eq!(
-                ref_verdicts,
-                ws_verdicts,
-                "{} workspace verdicts diverged from the seed reference (m={m})",
-                test.name()
-            );
+                let start = Instant::now();
+                let ws_verdicts: Vec<bool> = corpus
+                    .iter()
+                    .map(|ts| test.is_schedulable_in(ts, &mut ws))
+                    .collect();
+                workspace_ms[rep] = start.elapsed().as_secs_f64() * 1e3;
+
+                assert_eq!(
+                    ref_verdicts,
+                    ws_verdicts,
+                    "{} workspace verdicts diverged from the seed reference (m={m})",
+                    test.name()
+                );
+                accepted = ws_verdicts.iter().filter(|&&ok| ok).count();
+                speedups[rep] = if workspace_ms[rep] > 0.0 {
+                    reference_ms[rep] / workspace_ms[rep]
+                } else {
+                    f64::INFINITY
+                };
+            }
             rows.push(AnalysisPerfRow {
                 test: test.name().to_owned(),
                 m,
                 sets: corpus.len(),
                 tasks,
-                accepted: ws_verdicts.iter().filter(|&&ok| ok).count(),
-                reference_ms,
-                workspace_ms,
-                speedup: if workspace_ms > 0.0 {
-                    reference_ms / workspace_ms
-                } else {
-                    f64::INFINITY
-                },
+                accepted,
+                reference_ms: quantile(&reference_ms, 0.5),
+                workspace_ms: quantile(&workspace_ms, 0.5),
+                reps: REPS,
+                speedup: quantile(&speedups, 0.5),
+                speedup_q1: quantile(&speedups, 0.25),
+                speedup_q3: quantile(&speedups, 0.75),
             });
         }
     }
@@ -226,8 +268,9 @@ pub fn parse_gate(spec: &str) -> Result<(String, f64), String> {
     Ok((test.to_string(), min))
 }
 
-/// Checks speedup gates against every matching `(test, m)` row. Returns
-/// one message per violation (or unknown test name); empty means pass.
+/// Checks speedup gates against every matching `(test, m)` row's median
+/// speedup. Returns one message per violation (or unknown test name);
+/// empty means pass.
 pub fn check_gates(report: &AnalysisPerfReport, gates: &[(String, f64)]) -> Vec<String> {
     let mut failures = Vec::new();
     for (test, min) in gates {
@@ -236,9 +279,16 @@ pub fn check_gates(report: &AnalysisPerfReport, gates: &[(String, f64)]) -> Vec<
             seen = true;
             if r.speedup < *min {
                 failures.push(format!(
-                    "{} at m={}: speedup {:.2}x below the {min:.2}x gate \
-                     (reference {:.1} ms vs workspace {:.1} ms)",
-                    r.test, r.m, r.speedup, r.reference_ms, r.workspace_ms
+                    "{} at m={}: median speedup {:.2}x (IQR {:.2}–{:.2}x over {} reps) \
+                     below the {min:.2}x gate (reference {:.1} ms vs workspace {:.1} ms)",
+                    r.test,
+                    r.m,
+                    r.speedup,
+                    r.speedup_q1,
+                    r.speedup_q3,
+                    r.reps,
+                    r.reference_ms,
+                    r.workspace_ms
                 ));
             }
         }
@@ -259,13 +309,22 @@ pub fn write_analysis_json(report: &AnalysisPerfReport, path: &Path) -> std::io:
 /// Renders the report as a markdown table.
 pub fn render_analysis_perf(report: &AnalysisPerfReport) -> String {
     let mut out = String::from(
-        "| test | m | sets | tasks | accepted | reference ms | workspace ms | speedup |\n\
-         |----|----|----|----|----|----|----|----|\n",
+        "| test | m | sets | tasks | accepted | reference ms | workspace ms | speedup | IQR |\n\
+         |----|----|----|----|----|----|----|----|----|\n",
     );
     for r in &report.rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {:.2}x |\n",
-            r.test, r.m, r.sets, r.tasks, r.accepted, r.reference_ms, r.workspace_ms, r.speedup
+            "| {} | {} | {} | {} | {} | {:.1} | {:.1} | {:.2}x | {:.2}–{:.2}x |\n",
+            r.test,
+            r.m,
+            r.sets,
+            r.tasks,
+            r.accepted,
+            r.reference_ms,
+            r.workspace_ms,
+            r.speedup,
+            r.speedup_q1,
+            r.speedup_q3
         ));
     }
     out
@@ -284,10 +343,19 @@ mod tests {
             assert_eq!(r.sets, 6);
             assert!(r.accepted <= r.sets);
             assert!(r.tasks >= r.sets);
+            assert_eq!(r.reps, REPS);
+            // The gated figure is a median inside its quartiles.
             assert!(r.speedup > 0.0);
+            assert!(r.speedup_q1 <= r.speedup && r.speedup <= r.speedup_q3);
         }
         let table = render_analysis_perf(&report);
         assert!(table.contains("speedup"));
+        assert!(table.contains("IQR"));
+        // Quartiles interpolate between order statistics.
+        let five = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(quantile(&five, 0.25), 2.0);
+        assert_eq!(quantile(&five, 0.5), 3.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
         assert!(table.contains("AMC-max"));
     }
 
@@ -310,7 +378,10 @@ mod tests {
             accepted: 5,
             reference_ms: speedup,
             workspace_ms: 1.0,
+            reps: REPS,
             speedup,
+            speedup_q1: speedup,
+            speedup_q3: speedup,
         };
         let report = AnalysisPerfReport {
             seed: 1,
@@ -341,6 +412,7 @@ mod tests {
         write_analysis_json(&report, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("workspace_ms"));
+        assert!(text.contains("speedup_q1"));
         assert!(text.contains("\"rows\""));
         std::fs::remove_file(&path).ok();
     }

@@ -419,8 +419,9 @@ subcommands:
   analysis [--json FILE] [--gate TEST:MIN ...]
                             per-test throughput artifact (BENCH_analysis.json);
                             each --gate fails the run (exit 1) if TEST's
-                            speedup over the reference pass drops below MIN
-                            at any measured m (e.g. --gate AMC-rtb:1.5)
+                            median speedup over the reference pass (5
+                            interleaved repetitions per cell) drops below
+                            MIN at any measured m (e.g. --gate AMC-rtb:1.5)
   eval [--input F] [--output F]   one-shot JSONL verdicts (stdin/stdout)
   serve [--addr H:P] [--workers N] [--queue N] [--idle-secs S]
         [--max-requests N] [--allow-shutdown] [--journal FILE] [--recover]

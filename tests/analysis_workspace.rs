@@ -293,6 +293,14 @@ fn guarded_kernel_bounds_match_reference() {
             reference::amc_max_is_schedulable(ts),
             "AMC-max verdict diverged from the seed implementation on {ts}"
         );
+        // The guarded AMC-max walk, bound for bound.
+        for i in 0..ts.len() {
+            assert_eq!(
+                reference::amc_max_bound_streamed(ts, i),
+                reference::amc_max_bound(ts, i),
+                "guarded AMC-max bound diverged for τ{i} of {ts}"
+            );
+        }
     }
 }
 
